@@ -53,7 +53,8 @@ def _add_set_args(parser: argparse.ArgumentParser) -> None:
 
 def _add_solver_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--budget", type=int, default=solvers.DEFAULT_BUDGET,
-                        help="cap on propagation fixpoint calls")
+                        help="cap on subsets decided; a subtree settled at once "
+                             "counts every subset in it")
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--canonical", action="store_true",
                         help="request the colexicographically smallest witness")

@@ -39,3 +39,8 @@ class BudgetExceeded(RuntimeError):
         super().__init__(f"work budget exhausted after {calls} calls (budget {budget})")
         self.calls = calls
         self.budget = budget
+
+    def __reduce__(self):
+        # the default rebuilds from `args`, the message alone, which
+        # `__init__` cannot take; a worker's exception must reach the caller
+        return type(self), (self.calls, self.budget)

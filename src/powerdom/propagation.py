@@ -19,39 +19,58 @@ POWER_DOMINATION = "power-domination"
 ZERO_FORCING = "zero-forcing"
 
 
-def _force_round(adj: Sequence[int], cur: int) -> int:
-    """One simultaneous forcing round; returns the bits newly forced."""
-    add = 0
-    bits = cur
+def _frontier_round(adj: Sequence[int], cur: int, new: int) -> int:
+    """One simultaneous forcing round of `cur`; returns the bits newly forced.
+
+    `new` holds the bits added to `cur` since its last round, or since a
+    fixed point it grew from.  Only the monitored vertices of N[new] are
+    checked: any other monitored vertex has the same unmonitored neighbors
+    as in that round, where it forced nothing.
+    """
+    cand = new
+    bits = new
     while bits:
         low = bits & -bits
         bits ^= low
-        out = adj[low.bit_length() - 1] & ~cur
+        cand |= adj[low.bit_length() - 1]
+    cand &= cur
+    unmonitored = ~cur
+    add = 0
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        out = adj[low.bit_length() - 1] & unmonitored
         if out and not (out & (out - 1)):
             add |= out
     return add
 
 
+def fixpoint_from(adj: Sequence[int], closed: int, add: int) -> int:
+    """Forcing closure of `closed | add`, where `closed` is already a fixed
+    point; each round re-checks only the neighborhood of the bits it added."""
+    cur = closed | add
+    new = cur & ~closed
+    while new:
+        new = _frontier_round(adj, cur, new)
+        cur |= new
+    return cur
+
+
 def run_chain_bits(adj: Sequence[int], start: int) -> list[int]:
     """Full chain of monitored-set masks, up to the first repeat (exclusive)."""
     steps = [start]
-    cur = start
+    cur = new = start
     while True:
-        add = _force_round(adj, cur)
-        if not add:
+        new = _frontier_round(adj, cur, new)
+        if not new:
             return steps
-        cur |= add
+        cur |= new
         steps.append(cur)
 
 
 def fixpoint_bits(adj: Sequence[int], start: int) -> int:
     """Final mask of the chain, without recording intermediate steps."""
-    cur = start
-    while True:
-        add = _force_round(adj, cur)
-        if not add:
-            return cur
-        cur |= add
+    return fixpoint_from(adj, 0, start)
 
 
 @dataclass(frozen=True)
@@ -135,14 +154,8 @@ def classify(g: Graph, s: VertexSet) -> Classification:
         while rest:
             low = rest & -rest
             rest ^= low
-            aug = s.bits | low
-            start = aug
-            bits = aug
-            while bits:
-                b = bits & -bits
-                start |= adj[b.bit_length() - 1]
-                bits ^= b
-            if fixpoint_bits(adj, start) != full:
+            # monitored == step0 is a fixed point, so N[s + v] closes from it
+            if fixpoint_from(adj, monitored, low | adj[low.bit_length() - 1]) != full:
                 maximal = False
                 break
     return Classification(

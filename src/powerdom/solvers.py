@@ -19,7 +19,7 @@ from typing import Iterator, Optional
 
 from .errors import BudgetExceeded
 from .graphs import Graph, VertexSet
-from .propagation import fixpoint_bits
+from .propagation import fixpoint_bits, fixpoint_from
 
 DEFAULT_BUDGET = 10**8
 
@@ -52,73 +52,99 @@ def colex_masks(n: int, k: int) -> Iterator[int]:
             yield rest | high
 
 
-# -- subset predicates (picklable, keyed by name for worker dispatch) --------
+# -- subset predicates, as states grown one vertex at a time ----------------
+#
+# A scan prefix carries a state; `grow(adj, full, state, v)` returns the
+# state of the prefix plus v, or None once every completion of that prefix
+# is settled: the predicate then holds on all of them (monotone predicates,
+# whose state is a closure that reached `full`), or on none of them
+# (independence, whose prefix gained an edge).  A completed subset whose
+# state is not None has the opposite value.
 
 
-def _closed_nbhd_bits(adj, smask: int) -> int:
-    acc = smask
-    bits = smask
-    while bits:
-        low = bits & -bits
-        acc |= adj[low.bit_length() - 1]
-        bits ^= low
-    return acc
+def _empty_closure(adj) -> int:
+    return fixpoint_bits(adj, 0)
 
 
-def _pred_pds(adj, full: int, smask: int) -> bool:
-    return fixpoint_bits(adj, _closed_nbhd_bits(adj, smask)) == full
+def _no_vertices(adj) -> int:
+    return 0
 
 
-def _pred_zfs(adj, full: int, smask: int) -> bool:
-    return fixpoint_bits(adj, smask) == full
+def _grow_pds(adj, full, closed, v):
+    closed = fixpoint_from(adj, closed, adj[v] | 1 << v)
+    return None if closed == full else closed
 
 
-def _pred_dominating(adj, full: int, smask: int) -> bool:
-    return _closed_nbhd_bits(adj, smask) == full
+def _grow_zfs(adj, full, closed, v):
+    closed = fixpoint_from(adj, closed, 1 << v)
+    return None if closed == full else closed
 
 
-def _pred_independent(adj, full: int, smask: int) -> bool:
-    bits = smask
-    while bits:
-        low = bits & -bits
-        if adj[low.bit_length() - 1] & smask:
-            return False
-        bits ^= low
-    return True
+def _grow_dominating(adj, full, dominated, v):
+    dominated |= adj[v] | 1 << v
+    return None if dominated == full else dominated
 
 
+def _grow_independent(adj, full, neighbors, v):
+    return None if neighbors >> v & 1 else neighbors | adj[v]
+
+
+# name -> (state of the empty prefix, grow, predicate value on a settled
+# subtree); keyed by name for worker dispatch
 _PREDICATES = {
-    "pds": _pred_pds,
-    "zfs": _pred_zfs,
-    "dominating": _pred_dominating,
-    "independent": _pred_independent,
+    "pds": (_empty_closure, _grow_pds, True),
+    "zfs": (_empty_closure, _grow_zfs, True),
+    "dominating": (_no_vertices, _grow_dominating, True),
+    "independent": (_no_vertices, _grow_independent, False),
 }
 
 
 def _scan_job(adj, full, k, tops, pred_name, want, cap):
-    """Scan the stratum slice with leading (largest) elements in `tops`.
+    """Scan the k-subsets whose largest element is in `tops`, in colex order.
 
-    Returns (first matching mask or None, evaluations spent).  Slices are
-    scanned in ascending colex order, so the returned mask is the colex
-    minimum within the slice.
+    Returns (first mask with pred == want or None, subsets decided).  The
+    scan is depth first, largest element first, and each child's state
+    grows from its prefix's.  A settled prefix decides its whole subtree at
+    once: its first completion is the hit when the settled value is the one
+    wanted (one subset decided), and otherwise the subtree is skipped (every
+    subset in it decided).  Counts, hits and the `cap + 1` reported on
+    exhaustion are those of a scan that decides one subset at a time.
     """
-    pred = _PREDICATES[pred_name]
+    empty_state, grow, settled_value = _PREDICATES[pred_name]
     calls = 0
-    if k == 0:
-        calls = 1
+
+    def spend(count):
+        nonlocal calls
+        calls += count
         if calls > cap:
-            raise BudgetExceeded(calls, cap)
-        return (0 if pred(adj, full, 0) == want else None), calls
-    for top in tops:
-        high = 1 << top
-        for rest in colex_masks(top, k - 1):
-            calls += 1
-            if calls > cap:
-                raise BudgetExceeded(calls, cap)
-            smask = rest | high
-            if pred(adj, full, smask) == want:
-                return smask, calls
-    return None, calls
+            raise BudgetExceeded(cap + 1, cap)
+
+    def scan(prefix, state, children, r):
+        """First hit among prefix + v + r elements below v, v in children."""
+        for v in children:
+            mask = prefix | 1 << v
+            child = grow(adj, full, state, v)
+            if child is None:
+                if settled_value == want:
+                    spend(1)
+                    return mask | (1 << r) - 1
+                spend(comb(v, r))
+            elif r:
+                hit = scan(mask, child, range(r - 1, v), r - 1)
+                if hit is not None:
+                    return hit
+            else:
+                spend(1)
+                if settled_value != want:
+                    return mask
+        return None
+
+    state = empty_state(adj)
+    if k == 0:
+        # the empty set of a nonempty graph settles nothing
+        spend(1)
+        return (0 if settled_value != want else None), calls
+    return scan(0, state, tops, k - 1), calls
 
 
 @dataclass
@@ -162,7 +188,10 @@ class _Search:
             ]
             hits = []
             for fut in futures:
-                hit, spent = fut.result()
+                try:
+                    hit, spent = fut.result()
+                except BudgetExceeded as exc:
+                    raise BudgetExceeded(self.calls + exc.calls, self.budget) from None
                 self.calls += spent
                 if hit is not None:
                     hits.append(hit)

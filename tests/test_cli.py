@@ -51,6 +51,16 @@ def test_budget_exhaustion_is_exit_2(capsys):
     assert json.loads(err)["error"] == "budget_exceeded"
 
 
+def test_budget_exhaustion_in_a_worker_is_exit_2(capsys):
+    code, _, err = run(capsys, "fzf", "--family", "ladder:10", "--budget", "20000",
+                       "--workers", "2")
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "budget_exceeded"
+    assert payload["budget"] == 20000
+    assert payload["calls"] > 20000
+
+
 def test_trace_output(capsys):
     code, out, _ = run(capsys, "trace", "--family", "path:5", "--set", "0")
     assert code == 0

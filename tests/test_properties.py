@@ -12,6 +12,9 @@ from powerdom import (
     monitored_fixpoint,
     zero_forcing_fixpoint,
 )
+from powerdom.propagation import fixpoint_bits, fixpoint_from
+
+import oracles
 
 
 @st.composite
@@ -89,3 +92,16 @@ def test_trace_is_a_strict_chain(data):
         assert trace.stabilized_at <= g.n
         for a, b in zip(trace.steps, trace.steps[1:]):
             assert a.issubset(b) and len(b) > len(a)
+
+
+@given(graphs(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_fixpoint_from_a_fixed_point(g, data):
+    adj = g.adjacency_masks()
+    full = (1 << g.n) - 1
+    closed = fixpoint_bits(adj, data.draw(st.integers(min_value=0, max_value=full)))
+    add = data.draw(st.integers(min_value=0, max_value=full))
+    grown = fixpoint_from(adj, closed, add)
+    assert grown == fixpoint_bits(adj, closed | add)
+    start = [v for v in range(g.n) if (closed | add) >> v & 1]
+    assert grown == sum(1 << v for v in oracles.zf_chain(g.n, g.edges(), start)[-1])

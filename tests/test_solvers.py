@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -11,9 +12,12 @@ from powerdom import (
     failed_zero_forcing_number,
     gamma_bar_p,
     gamma_p,
+    generate,
     max_independent_set,
+    parse_family,
     zero_forcing_number,
 )
+from powerdom.solvers import _scan_job
 
 import oracles
 
@@ -201,3 +205,77 @@ class TestSolverContract:
             s2 = gamma_p(g)
             p2 = gamma_p(g, workers=2)
             assert s2.value == p2.value
+
+    def test_budget_exceeded_pickles(self):
+        exc = pickle.loads(pickle.dumps(BudgetExceeded(21, 20)))
+        assert isinstance(exc, BudgetExceeded)
+        assert (exc.calls, exc.budget) == (21, 20)
+        assert str(exc) == str(BudgetExceeded(21, 20))
+
+
+SOLVERS = [gamma_p, gamma_bar_p, zero_forcing_number, failed_zero_forcing_number,
+           domination_number, max_independent_set]
+
+
+class TestScanMatchesReference:
+    """The depth-first scan against a per-subset colex scan built on the
+    set-based predicates of the oracles."""
+
+    @pytest.mark.parametrize("workers, graphs, sizes", [(1, 40, (1, 9)), (2, 4, (6, 9))])
+    def test_value_witness_and_calls(self, workers, graphs, sizes):
+        rng = random.Random(40 + workers)
+        for _ in range(graphs):
+            n, edges = oracles.random_graph(rng, rng.randint(*sizes), rng.choice([0.2, 0.5, 0.8]))
+            g = Graph(n, edges)
+            for solve in SOLVERS:
+                res = solve(g, workers=workers)
+                value, witness, calls = oracles.reference_solve(solve.__name__, n, edges, workers)
+                assert res.value == value, solve.__name__
+                assert tuple(res.witness.members()) == witness, solve.__name__
+                assert res.propagation_calls == calls, solve.__name__
+
+    def test_each_stratum_for_either_answer(self):
+        # the solvers' searches never meet a prefix that settles the wanted
+        # answer above the leaves (the stratum below would have held a hit),
+        # so the stratum scan is checked on its own, for both answers
+        rng = random.Random(44)
+        for _ in range(15):
+            n, edges = oracles.random_graph(rng, rng.randint(1, 8), rng.choice([0.2, 0.5, 0.8]))
+            adj, full = Graph(n, edges).adjacency_masks(), (1 << n) - 1
+            for name, pred in oracles.subset_predicates(n, edges).items():
+                for k in range(n + 1):
+                    for want in (True, False):
+                        hit, calls = _scan_job(adj, full, k, range(max(k - 1, 0), n),
+                                               name, want, 10**9)
+                        ref_hit, ref_calls = oracles.scan_stratum(
+                            n, k, lambda s: pred(s) == want)
+                        ref_mask = None if ref_hit is None else sum(1 << v for v in ref_hit)
+                        assert (hit, calls) == (ref_mask, ref_calls), (name, k, want)
+
+    def test_budget_runs_out_inside_a_settled_subtree(self):
+        # a star with its center last: in the certifying stratum (k = 5) the
+        # prefix {6} is already a PDS, so its comb(6, 4) = 15 completions,
+        # the last subsets of the search, are decided in one step
+        n, edges = 7, [(i, 6) for i in range(6)]
+        g = Graph(n, edges)
+        total = gamma_bar_p(g).propagation_calls
+        assert total == oracles.reference_solve("gamma_bar_p", n, edges)[2]
+        budget = total - 2
+        with pytest.raises(BudgetExceeded) as info:
+            gamma_bar_p(g, budget=budget)
+        assert (info.value.calls, info.value.budget) == (budget + 1, budget)
+
+
+class TestExactRegressions:
+    def test_gamma_bar_p_grid_5x5(self):
+        g = generate(parse_family("grid:5,5"))
+        res = gamma_bar_p(g)
+        assert res.value == 12
+        assert len(res.witness) == 12
+        assert not oracles.is_pds(g.n, g.edges(), res.witness.members())
+
+    def test_failed_zero_forcing_grid_6x6(self):
+        g = generate(parse_family("grid:6,6"))
+        res = failed_zero_forcing_number(g)
+        assert res.value == 30
+        assert not oracles.is_zfs(g.n, g.edges(), res.witness.members())
