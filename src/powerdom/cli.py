@@ -1,8 +1,8 @@
 """Command-line front end.
 
 JSON output by default (for scripts and fixture regeneration), plain text
-with --plain.  Exit codes: 0 success, 1 domain/parse/I-O error, 2 work
-budget exhausted.
+with --plain.  Exit codes: 0 success, 1 usage/domain/parse/I-O error,
+2 work budget exhausted.
 """
 
 from __future__ import annotations
@@ -24,7 +24,21 @@ from .errors import (
     TooSmall,
 )
 
+
+class UsageError(Exception):
+    """A command line the argument parser rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors to `main` instead of exiting with status 2,
+    the status of an exhausted budget."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 _USER_ERRORS = (
+    UsageError,
     ParseError,
     LoopError,
     DisconnectedInput,
@@ -55,9 +69,6 @@ def _add_solver_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--budget", type=int, default=solvers.DEFAULT_BUDGET,
                         help="cap on subsets decided; a subtree settled at once "
                              "counts every subset in it")
-    parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--canonical", action="store_true",
-                        help="request the colexicographically smallest witness")
 
 
 def _add_format_args(parser: argparse.ArgumentParser) -> None:
@@ -91,8 +102,7 @@ def _emit(payload: dict, plain_lines: list[str], json_out: bool) -> None:
 
 def _solver_command(args, solve) -> int:
     g = _load_graph(args)
-    result = solve(g, budget=args.budget, workers=args.workers,
-                   canonical=args.canonical)
+    result = solve(g, budget=args.budget)
     payload = result.to_json_dict()
     plain = [
         f"{result.parameter} = {result.value}",
@@ -170,7 +180,7 @@ def _cmd_reduce(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="powerdom",
         description="Power-domination propagation, classification, and exact solvers",
     )
@@ -230,9 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except BudgetExceeded as exc:
         print(json.dumps({"error": "budget_exceeded", "calls": exc.calls,

@@ -42,5 +42,5 @@ class BudgetExceeded(RuntimeError):
 
     def __reduce__(self):
         # the default rebuilds from `args`, the message alone, which
-        # `__init__` cannot take; a worker's exception must reach the caller
+        # `__init__` cannot take
         return type(self), (self.calls, self.budget)

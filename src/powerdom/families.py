@@ -13,7 +13,7 @@ from math import ceil
 from .errors import DomainError, NoFormula
 from .graphs import Graph, cartesian_product, complement, components, join
 
-# canonical short names, with the long aliases accepted by the parser
+# long aliases accepted by the parser -> the short family names
 _ALIASES = {
     "complete_bipartite": "kmn",
     "complement_cycle": "ccycle",

@@ -138,6 +138,11 @@ def build_reduction(g: Graph, path_len: Optional[int] = None) -> ReductionOutput
     )
 
 
+def _source_edge_within(red: ReductionOutput, u: VertexSet) -> Optional[tuple[int, int]]:
+    """The first recorded source edge with both ends in `u`, or None."""
+    return next(((a, b) for a, b in red.source_edges if a in u and b in u), None)
+
+
 def lift_independent_set(red: ReductionOutput, u: VertexSet) -> VertexSet:
     """Lift an independent set of the source to a stalled set of the gadget.
 
@@ -146,9 +151,9 @@ def lift_independent_set(red: ReductionOutput, u: VertexSet) -> VertexSet:
     """
     if u.n != red.source_n:
         raise ValueError("candidate set must live in the source vertex universe")
-    for a, b in red.source_edges:
-        if a in u and b in u:
-            raise NotIndependent(f"vertices {a} and {b} are adjacent in the source")
+    edge = _source_edge_within(red, u)
+    if edge is not None:
+        raise NotIndependent(f"vertices {edge[0]} and {edge[1]} are adjacent in the source")
     bits = u.bits | red.all_path_vertices().bits
     return VertexSet(red.gprime.n, bits)
 
@@ -165,7 +170,5 @@ def extract_independent_set(red: ReductionOutput, s: VertexSet) -> ExtractedSet:
         raise ValueError("candidate set must live in the gadget vertex universe")
     bits = s.bits & ((1 << red.source_n) - 1)
     vertices = VertexSet(red.source_n, bits)
-    independent = not any(
-        a in vertices and b in vertices for a, b in red.source_edges
-    )
+    independent = _source_edge_within(red, vertices) is None
     return ExtractedSet(vertices=vertices, independent=independent)

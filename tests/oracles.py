@@ -122,39 +122,27 @@ def colex_subsets(n, k):
     return sorted(combinations(range(n), k), key=lambda s: s[::-1])
 
 
-def scan_stratum(n, k, pred, workers=1):
+def scan_stratum(n, k, pred):
     """Colex-first k-subset satisfying `pred` (or None), and the number of
-    subsets decided to find it, one at a time.
-
-    With a worker pool the solvers split a stratum by largest element,
-    strided over the workers, and scan each part up to its own first hit;
-    the count is summed over the parts.
-    """
-    subsets = colex_subsets(n, k)
-    parts = [subsets]
-    if workers > 1 and k > 0 and len(subsets) >= 4 * workers:
-        parts = [[s for s in subsets if (s[-1] - k + 1) % workers == i]
-                 for i in range(workers)]
-    hits, calls = [], 0
-    for part in parts:
-        for s in part:
-            calls += 1
-            if pred(s):
-                hits.append(s)
-                break
-    return min(hits, key=lambda s: s[::-1], default=None), calls
+    subsets decided to find it, one at a time."""
+    calls = 0
+    for s in colex_subsets(n, k):
+        calls += 1
+        if pred(s):
+            return s, calls
+    return None, calls
 
 
 def subset_predicates(n, edges):
-    """The solvers' four subset predicates, keyed by the solvers' names."""
+    """The solvers' four upward-closed subset predicates, by name."""
     adj = adj_of(n, edges)
     edge_set = {frozenset(e) for e in edges}
     return {
         "pds": lambda s: is_pds(n, edges, s),
         "zfs": lambda s: is_zfs(n, edges, s),
         "dominating": lambda s: len(closed_nbhd(adj, set(s))) == n,
-        "independent": lambda s: all(frozenset(p) not in edge_set
-                                     for p in combinations(s, 2)),
+        "dependent": lambda s: any(frozenset(p) in edge_set
+                                   for p in combinations(s, 2)),
     }
 
 
@@ -165,32 +153,33 @@ SOLVER_SEARCHES = {
     "zero_forcing_number": ("zfs", "min"),
     "failed_zero_forcing_number": ("zfs", "failed"),
     "domination_number": ("dominating", "min"),
-    "max_independent_set": ("independent", "max"),
+    "max_independent_set": ("dependent", "failed"),
 }
 
 
-def reference_solve(parameter, n, edges, workers=1):
+def reference_solve(parameter, n, edges):
     """(value, witness, subsets decided) of the solver named `parameter`,
     by a per-subset colex scan of each stratum: ascending to the first hit
     for the minimum parameters, ascending to the first stratum with no
-    failed set for the failed ones, descending for independence."""
+    failing set for the failed ones (independence: sets not dependent)."""
     name, direction = SOLVER_SEARCHES[parameter]
     pred = subset_predicates(n, edges)[name]
     calls = 0
     if direction == "failed":
         witness = None
         for k in range(n + 1):
-            hit, spent = scan_stratum(n, k, lambda s: not pred(s), workers)
+            hit, spent = scan_stratum(n, k, lambda s: not pred(s))
             calls += spent
             if hit is None:
                 return k - 1, witness, calls
             witness = hit
-    for k in range(n, -1, -1) if direction == "max" else range(n + 1):
-        hit, spent = scan_stratum(n, k, pred, workers)
+        return n, witness, calls
+    for k in range(n + 1):
+        hit, spent = scan_stratum(n, k, pred)
         calls += spent
         if hit is not None:
             return k, hit, calls
-    raise AssertionError("the search always ends with a hit")
+    raise AssertionError("the full vertex set always satisfies the predicate")
 
 
 def brute_connectivity(n, edges):

@@ -51,14 +51,37 @@ def test_budget_exhaustion_is_exit_2(capsys):
     assert json.loads(err)["error"] == "budget_exceeded"
 
 
-def test_budget_exhaustion_in_a_worker_is_exit_2(capsys):
-    code, _, err = run(capsys, "fzf", "--family", "ladder:10", "--budget", "20000",
-                       "--workers", "2")
-    assert code == 2
+def test_negative_budget_is_exit_1(capsys):
+    code, out, err = run(capsys, "gammabar", "--family", "cycle:5", "--budget", "-3")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gammabar"],
+        ["gammabar", "--family", "cycle:8", "--workers", "2"],
+        ["gammabar", "--family", "cycle:8", "--canonical"],
+        ["gammabar", "--family", "cycle:8", "--budget", "many"],
+        [],
+    ],
+)
+def test_usage_errors_are_exit_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
     payload = json.loads(err)
-    assert payload["error"] == "budget_exceeded"
-    assert payload["budget"] == 20000
-    assert payload["calls"] > 20000
+    assert payload["error"] == "UsageError"
+    assert payload["message"]
+
+
+def test_help_is_exit_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["gammabar", "--help"])
+    assert info.value.code == 0
+    assert "--budget" in capsys.readouterr().out
 
 
 def test_trace_output(capsys):
@@ -136,18 +159,9 @@ def test_reduce_too_small(capsys, tmp_path):
 def test_byte_stable_output(capsys):
     outputs = set()
     for _ in range(3):
-        _, out, _ = run(capsys, "gammabar", "--family", "kmn:4,2", "--canonical")
+        _, out, _ = run(capsys, "gammabar", "--family", "kmn:4,2")
         outputs.add(out)
     assert len(outputs) == 1
-
-
-def test_workers_flag(capsys):
-    _, serial, _ = run(capsys, "gammabar", "--family", "cycle:8", "--canonical")
-    _, parallel, _ = run(
-        capsys, "gammabar", "--family", "cycle:8", "--canonical", "--workers", "2"
-    )
-    assert json.loads(serial)["value"] == json.loads(parallel)["value"]
-    assert json.loads(serial)["witness"] == json.loads(parallel)["witness"]
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,13 @@ from powerdom import (
     parse_family,
     zero_forcing_number,
 )
-from powerdom.solvers import _scan_job
+from powerdom.solvers import (
+    _grow_dependent,
+    _grow_dominating,
+    _grow_pds,
+    _grow_zfs,
+    _scan_stratum,
+)
 
 import oracles
 
@@ -39,6 +45,13 @@ def star(leaves):
 
 
 FIG3 = Graph(4, [(0, 1), (1, 2), (1, 3), (2, 3)])
+
+
+GROW = {"pds": _grow_pds, "zfs": _grow_zfs, "dominating": _grow_dominating,
+        "dependent": _grow_dependent}
+
+SOLVERS = [gamma_p, gamma_bar_p, zero_forcing_number, failed_zero_forcing_number,
+           domination_number, max_independent_set]
 
 
 def test_colex_order():
@@ -162,6 +175,12 @@ class TestDominationAndIndependence:
         assert max_independent_set(complete(5)).value == 1
         assert max_independent_set(cycle(5)).value == 2
 
+    def test_alpha_edgeless(self):
+        # every subset fails "dependent", the full vertex set included
+        res = max_independent_set(Graph(4, []))
+        assert res.value == 4
+        assert res.witness.members() == [0, 1, 2, 3]
+
     def test_matches_reference(self):
         rng = random.Random(36)
         for _ in range(30):
@@ -195,16 +214,16 @@ class TestSolverContract:
         assert isinstance(payload["witness"], list)
         assert payload["calls"] > 0
 
-    def test_worker_determinism(self):
-        graphs = [cycle(8), star(5), Graph(*oracles.random_graph(random.Random(38), 9))]
-        for g in graphs:
-            serial = gamma_bar_p(g, canonical=True)
-            parallel = gamma_bar_p(g, workers=3, canonical=True)
-            assert serial.value == parallel.value
-            assert serial.witness == parallel.witness
-            s2 = gamma_p(g)
-            p2 = gamma_p(g, workers=2)
-            assert s2.value == p2.value
+    def test_negative_budget_is_rejected(self):
+        with pytest.raises(ValueError):
+            gamma_bar_p(cycle(5), budget=-3)
+
+    def test_zero_budget_spends_one(self):
+        # exhaustion reports budget + 1 subsets decided, here the empty set
+        for solve in SOLVERS:
+            with pytest.raises(BudgetExceeded) as info:
+                solve(cycle(5), budget=0)
+            assert (info.value.calls, info.value.budget) == (1, 0), solve.__name__
 
     def test_budget_exceeded_pickles(self):
         exc = pickle.loads(pickle.dumps(BudgetExceeded(21, 20)))
@@ -213,23 +232,20 @@ class TestSolverContract:
         assert str(exc) == str(BudgetExceeded(21, 20))
 
 
-SOLVERS = [gamma_p, gamma_bar_p, zero_forcing_number, failed_zero_forcing_number,
-           domination_number, max_independent_set]
-
-
 class TestScanMatchesReference:
     """The depth-first scan against a per-subset colex scan built on the
     set-based predicates of the oracles."""
 
-    @pytest.mark.parametrize("workers, graphs, sizes", [(1, 40, (1, 9)), (2, 4, (6, 9))])
-    def test_value_witness_and_calls(self, workers, graphs, sizes):
-        rng = random.Random(40 + workers)
-        for _ in range(graphs):
-            n, edges = oracles.random_graph(rng, rng.randint(*sizes), rng.choice([0.2, 0.5, 0.8]))
+    def test_value_witness_and_calls(self):
+        rng = random.Random(41)
+        inputs = [oracles.random_graph(rng, rng.randint(1, 9), rng.choice([0.2, 0.5, 0.8]))
+                  for _ in range(40)]
+        inputs.append((6, []))
+        for n, edges in inputs:
             g = Graph(n, edges)
             for solve in SOLVERS:
-                res = solve(g, workers=workers)
-                value, witness, calls = oracles.reference_solve(solve.__name__, n, edges, workers)
+                res = solve(g)
+                value, witness, calls = oracles.reference_solve(solve.__name__, n, edges)
                 assert res.value == value, solve.__name__
                 assert tuple(res.witness.members()) == witness, solve.__name__
                 assert res.propagation_calls == calls, solve.__name__
@@ -245,8 +261,7 @@ class TestScanMatchesReference:
             for name, pred in oracles.subset_predicates(n, edges).items():
                 for k in range(n + 1):
                     for want in (True, False):
-                        hit, calls = _scan_job(adj, full, k, range(max(k - 1, 0), n),
-                                               name, want, 10**9)
+                        hit, calls = _scan_stratum(adj, full, k, GROW[name], want, 10**9)
                         ref_hit, ref_calls = oracles.scan_stratum(
                             n, k, lambda s: pred(s) == want)
                         ref_mask = None if ref_hit is None else sum(1 << v for v in ref_hit)
