@@ -67,8 +67,8 @@ def _add_set_args(parser: argparse.ArgumentParser) -> None:
 
 def _add_solver_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--budget", type=int, default=solvers.DEFAULT_BUDGET,
-                        help="cap on subsets decided; a subtree settled at once "
-                             "counts every subset in it")
+                        help="cap on subsets decided; a subtree settled or skipped "
+                             "at once counts every subset in it")
 
 
 def _add_format_args(parser: argparse.ArgumentParser) -> None:

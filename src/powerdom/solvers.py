@@ -9,7 +9,10 @@ not dependent, stop at the first size with no failing set: failing sets
 form a downward-closed family, so "no failing set of size k" certifies that
 k - 1 is the answer.  Subsets are enumerated in colexicographic order, which
 for fixed cardinality coincides with numeric order of the bitmasks;
-witnesses are therefore the colexicographically smallest hit.
+witnesses are therefore the colexicographically smallest hit.  The least
+elements of a failing set fail too, so a failed-parameter stratum skips
+every subset whose least elements sit below the witnesses of the strata
+before it; skipped subsets count as decided.
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ def _grow_dependent(adj, full, neighbors, v):
     return None if neighbors >> v & 1 else neighbors | adj[v]
 
 
-def _scan_stratum(adj, full, k, grow, want, cap):
+def _scan_stratum(adj, full, k, grow, want, cap, least=()):
     """Colex-first k-subset mask whose predicate value is `want` (or None),
     and the number of subsets decided to find it.
 
@@ -88,9 +91,11 @@ def _scan_stratum(adj, full, k, grow, want, cap):
     grows from its prefix's.  A prefix that satisfies the predicate decides
     its whole subtree at once: its first completion is the hit when a
     satisfying set is wanted (one subset decided), and otherwise the subtree
-    is skipped (every subset in it decided).  Counts, hits and the `cap + 1`
-    reported on exhaustion are those of a scan that decides one subset at a
-    time.
+    is skipped (every subset in it decided).  `least[r]`, when given, is a
+    lower bound on the element with r elements below it in every failing
+    set; children below it are skipped in one step, as satisfying sets that
+    come colex-before the rest.  Counts, hits and the `cap + 1` reported on
+    exhaustion are those of a scan that decides one subset at a time.
     """
     calls = 0
 
@@ -100,9 +105,13 @@ def _scan_stratum(adj, full, k, grow, want, cap):
         if calls > cap:
             raise BudgetExceeded(cap + 1, cap)
 
-    def scan(prefix, state, children, r):
-        """First hit among prefix + v + r elements below v, v in children."""
-        for v in children:
+    def scan(prefix, state, hi, r):
+        """First hit among prefix + v + r elements below v, r <= v < hi."""
+        lo = r
+        if least and least[r] > r:
+            lo = min(least[r], hi)
+            spend(comb(lo, r + 1))  # sum of comb(v, r) for r <= v < lo
+        for v in range(lo, hi):
             mask = prefix | 1 << v
             child = grow(adj, full, state, v)
             if child is None:
@@ -111,7 +120,7 @@ def _scan_stratum(adj, full, k, grow, want, cap):
                     return mask | (1 << r) - 1
                 spend(comb(v, r))
             elif r:
-                hit = scan(mask, child, range(r - 1, v), r - 1)
+                hit = scan(mask, child, v, r - 1)
                 if hit is not None:
                     return hit
             else:
@@ -124,7 +133,7 @@ def _scan_stratum(adj, full, k, grow, want, cap):
         # the empty set of a nonempty graph satisfies none of the predicates
         spend(1)
         return (None if want else 0), calls
-    return scan(0, 0, range(k - 1, len(adj)), k - 1), calls
+    return scan(0, 0, len(adj), k - 1), calls
 
 
 def _strata(g: Graph, grow, want: bool, budget: int):
@@ -136,13 +145,20 @@ def _strata(g: Graph, grow, want: bool, budget: int):
         raise ValueError(f"budget must be >= 0, got {budget}")
     adj, full = g.adjacency_masks(), (1 << g.n) - 1
     calls = 0
+    # failing sets only: tops[j - 1] is the largest element of the
+    # colex-first failing j-set.  The j least elements of a failing k-set
+    # fail too, so come no earlier in colex order and end at or above it.
+    tops = []
     for k in range(g.n + 1):
+        least = (*tops, tops[-1] + 1) if tops else ()
         try:
-            hit, spent = _scan_stratum(adj, full, k, grow, want, budget - calls)
+            hit, spent = _scan_stratum(adj, full, k, grow, want, budget - calls, least)
         except BudgetExceeded as exc:
             raise BudgetExceeded(calls + exc.calls, budget) from None
         calls += spent
         yield k, hit, calls
+        if not want and k and hit is not None:
+            tops.append(hit.bit_length() - 1)
 
 
 def _min_satisfying(g, grow, parameter, budget) -> SolverResult:

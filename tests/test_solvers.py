@@ -267,6 +267,28 @@ class TestScanMatchesReference:
                         ref_mask = None if ref_hit is None else sum(1 << v for v in ref_hit)
                         assert (hit, calls) == (ref_mask, ref_calls), (name, k, want)
 
+    def test_each_stratum_with_the_bound(self):
+        # a failed-parameter stratum skips the children below `least`, built
+        # from the colex-first failing sets of the strata below
+        rng = random.Random(45)
+        for _ in range(15):
+            n, edges = oracles.random_graph(rng, rng.randint(1, 8), rng.choice([0.2, 0.5, 0.8]))
+            adj, full = Graph(n, edges).adjacency_masks(), (1 << n) - 1
+            preds = oracles.subset_predicates(n, edges)
+            for name in ("pds", "zfs", "dependent"):
+                fails = lambda s, pred=preds[name]: not pred(s)
+                tops = []
+                for k in range(n + 1):
+                    least = (*tops, tops[-1] + 1) if tops else ()
+                    hit, calls = _scan_stratum(adj, full, k, GROW[name], False, 10**9, least)
+                    ref_hit, ref_calls = oracles.scan_stratum(n, k, fails)
+                    ref_mask = None if ref_hit is None else sum(1 << v for v in ref_hit)
+                    assert (hit, calls) == (ref_mask, ref_calls), (name, k, least)
+                    if ref_hit is None:
+                        break
+                    if k:
+                        tops.append(ref_hit[-1])
+
     def test_budget_runs_out_inside_a_settled_subtree(self):
         # a star with its center last: in the certifying stratum (k = 5) the
         # prefix {6} is already a PDS, so its comb(6, 4) = 15 completions,
@@ -280,6 +302,33 @@ class TestScanMatchesReference:
             gamma_bar_p(g, budget=budget)
         assert (info.value.calls, info.value.budget) == (budget + 1, budget)
 
+    def test_budget_runs_out_inside_a_skipped_range(self):
+        # F(path:18) decides 12,030 subsets below its certifying stratum 9.
+        # The colex-first failing 8-set ends at 15, so a failing 9-set ends
+        # at 16 or above, and the comb(16, 9) = 11,440 subsets ending below
+        # 16 are decided in one step, past the budget
+        g = generate(parse_family("path:18"))
+        with pytest.raises(BudgetExceeded) as info:
+            failed_zero_forcing_number(g, budget=15000)
+        assert (info.value.calls, info.value.budget) == (15001, 15000)
+
+    def test_failed_budget_sweep(self):
+        # a solve succeeds iff the budget covers every subset it decides
+        rng = random.Random(46)
+        for _ in range(10):
+            n, edges = oracles.random_graph(rng, rng.randint(2, 10), rng.choice([0.2, 0.5, 0.8]))
+            g = Graph(n, edges)
+            for solve in (gamma_bar_p, failed_zero_forcing_number, max_independent_set):
+                full = solve(g)
+                total = full.propagation_calls
+                for budget in sorted({0, total // 3, total // 2, total - 1, total}):
+                    if budget >= total:
+                        assert solve(g, budget=budget) == full, solve.__name__
+                        continue
+                    with pytest.raises(BudgetExceeded) as info:
+                        solve(g, budget=budget)
+                    assert (info.value.calls, info.value.budget) == (budget + 1, budget)
+
 
 class TestExactRegressions:
     def test_gamma_bar_p_grid_5x5(self):
@@ -288,6 +337,22 @@ class TestExactRegressions:
         assert res.value == 12
         assert len(res.witness) == 12
         assert not oracles.is_pds(g.n, g.edges(), res.witness.members())
+
+    def test_gamma_bar_p_grid_6x6(self):
+        g = generate(parse_family("grid:6,6"))
+        res = gamma_bar_p(g, budget=10**12)
+        assert res.value == len(res.witness) == 20
+        assert not oracles.is_pds(g.n, g.edges(), res.witness.members())
+
+    def test_failed_grid_10x10(self):
+        # agree with the fort formulation: n - min |N[F]| and n - min |F| over forts F
+        g = generate(parse_family("grid:10,10"))
+        res = gamma_bar_p(g, budget=10**30)
+        assert res.value == len(res.witness) == 72
+        assert not oracles.is_pds(g.n, g.edges(), res.witness.members())
+        res = failed_zero_forcing_number(g, budget=10**30)
+        assert res.value == len(res.witness) == 90
+        assert not oracles.is_zfs(g.n, g.edges(), res.witness.members())
 
     def test_failed_zero_forcing_grid_6x6(self):
         g = generate(parse_family("grid:6,6"))
