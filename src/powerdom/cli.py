@@ -244,8 +244,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = build_parser().parse_args(argv)
         return args.handler(args)
     except BudgetExceeded as exc:
-        print(json.dumps({"error": "budget_exceeded", "calls": exc.calls,
-                          "budget": exc.budget}), file=sys.stderr)
+        payload = {"error": "budget_exceeded", "calls": exc.calls, "budget": exc.budget}
+        if exc.lower_bound is not None:
+            payload.update(lower_bound=exc.lower_bound, witness=exc.witness)
+        print(json.dumps(payload), file=sys.stderr)
         return 2
     except _USER_ERRORS as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),

@@ -32,15 +32,20 @@ class NotIndependent(ValueError):
 class BudgetExceeded(RuntimeError):
     """Solver hit its work budget before finishing.
 
-    `calls` holds the number of work units spent when the cap was hit.
+    `calls` holds the number of work units spent when the cap was hit.  A
+    failed-parameter solver also reports what it had proven by then: the
+    largest size with a failing set found, `lower_bound`, and that set's
+    members, `witness` (both None when no stratum had finished).
     """
 
-    def __init__(self, calls: int, budget: int):
+    def __init__(self, calls: int, budget: int, lower_bound=None, witness=None):
         super().__init__(f"work budget exhausted after {calls} calls (budget {budget})")
         self.calls = calls
         self.budget = budget
+        self.lower_bound = lower_bound
+        self.witness = witness
 
     def __reduce__(self):
         # the default rebuilds from `args`, the message alone, which
         # `__init__` cannot take
-        return type(self), (self.calls, self.budget)
+        return type(self), (self.calls, self.budget, self.lower_bound, self.witness)

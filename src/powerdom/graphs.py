@@ -330,13 +330,17 @@ def induced_subgraph(g: Graph, s: VertexSet) -> tuple[Graph, list[int]]:
 
 
 def closed_neighborhood(g: Graph, s: VertexSet) -> VertexSet:
-    bits = s.bits
+    return VertexSet(g.n, closed_neighborhood_bits(g.adjacency_masks(), s.bits))
+
+
+def closed_neighborhood_bits(adj: Sequence[int], bits: int) -> int:
+    """N[bits] as a mask, from the adjacency masks `adj`."""
     acc = bits
     while bits:
         low = bits & -bits
-        acc |= g.adjacency_bits(low.bit_length() - 1)
+        acc |= adj[low.bit_length() - 1]
         bits ^= low
-    return VertexSet(g.n, acc)
+    return acc
 
 
 # -- connectivity ------------------------------------------------------------

@@ -45,12 +45,20 @@ def _frontier_round(adj: Sequence[int], cur: int, new: int) -> int:
     return add
 
 
-def fixpoint_from(adj: Sequence[int], closed: int, add: int) -> int:
+def fixpoint_from(adj: Sequence[int], closed: int, add: int, stop: int = 0) -> int:
     """Forcing closure of `closed | add`, where `closed` is already a fixed
-    point; each round re-checks only the neighborhood of the bits it added."""
+    point; each round re-checks only the neighborhood of the bits it added.
+
+    `stop` holds vertices w whose forcing closure together with some subset
+    of `closed` is the whole vertex set.  Closures are monotone, so once the
+    growing closure monitors any of them the whole vertex mask is returned
+    at once.
+    """
     cur = closed | add
     new = cur & ~closed
     while new:
+        if new & stop:
+            return (1 << len(adj)) - 1
         new = _frontier_round(adj, cur, new)
         cur |= new
     return cur

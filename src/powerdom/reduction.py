@@ -19,10 +19,12 @@ from typing import Optional
 
 from .errors import DisconnectedInput, NotIndependent, TooSmall
 from .graphs import Graph, VertexSet, is_connected
+from .solvers import _grow_dependent
 
 
 def is_independent_set(g: Graph, s: VertexSet) -> bool:
-    return all(g.adjacency_bits(v) & s.bits == 0 for v in s)
+    # the solvers' dependence predicate: its state is None once s holds an edge
+    return _grow_dependent(g.adjacency_masks(), None, 0, s.bits, 0) is not None
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,12 @@ for fixed cardinality coincides with numeric order of the bitmasks;
 witnesses are therefore the colexicographically smallest hit.  The least
 elements of a failing set fail too, so a failed-parameter stratum skips
 every subset whose least elements sit below the witnesses of the strata
-before it; skipped subsets count as decided.
+before it; skipped subsets count as decided.  Upward closure prunes the
+scan in two more ways: a vertex that completes a prefix completes every
+extension of it, so it settles later prefixes with no closure (and stops
+a zero-forcing closure that reaches it), and a prefix with one completion
+left is decided by one closure.  A failed-parameter solve that runs out of
+budget reports the largest failing set it had found.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from math import comb
 from typing import Iterator, Optional
 
 from .errors import BudgetExceeded
-from .graphs import Graph, VertexSet
+from .graphs import Graph, VertexSet, closed_neighborhood_bits
 from .propagation import fixpoint_from
 
 DEFAULT_BUDGET = 10**8
@@ -55,32 +60,46 @@ def colex_masks(n: int, k: int) -> Iterator[int]:
             yield rest | high
 
 
-# -- upward-closed subset predicates, as states grown one vertex at a time --
+# -- upward-closed subset predicates, as states grown a bitmask at a time --
 #
 # A scan prefix carries a state, 0 for the empty prefix (nothing closed,
-# dominated or adjacent); `grow(adj, full, state, v)` returns the state of
-# the prefix plus v, or None once that prefix satisfies the predicate, and
-# then so does every completion of it.  A completed subset whose state is
-# not None fails the predicate.
+# dominated or adjacent); `grow(adj, full, state, bits, dead)` returns the
+# state of the prefix plus the vertices of `bits`, or None once that set
+# satisfies the predicate, and then so does every completion of it.  A
+# completed subset whose state is not None fails the predicate.  Each
+# vertex of `dead` satisfies the predicate together with a subset of the
+# prefix; only zero forcing uses them, to stop a closure early.
 
 
-def _grow_pds(adj, full, closed, v):
-    closed = fixpoint_from(adj, closed, adj[v] | 1 << v)
+def _grow_pds(adj, full, closed, bits, dead):
+    # no early stop: a dead w completes the prefix once N[w] is in it, not w
+    closed = fixpoint_from(adj, closed, closed_neighborhood_bits(adj, bits))
     return None if closed == full else closed
 
 
-def _grow_zfs(adj, full, closed, v):
-    closed = fixpoint_from(adj, closed, 1 << v)
+def _grow_zfs(adj, full, closed, bits, dead):
+    closed = fixpoint_from(adj, closed, bits, dead)
     return None if closed == full else closed
 
 
-def _grow_dominating(adj, full, dominated, v):
-    dominated |= adj[v] | 1 << v
+def _grow_dominating(adj, full, dominated, bits, dead):
+    if bits & (bits - 1):
+        dominated |= closed_neighborhood_bits(adj, bits)
+    else:  # one vertex, the scan's usual child: no call
+        dominated |= adj[bits.bit_length() - 1] | bits
     return None if dominated == full else dominated
 
 
-def _grow_dependent(adj, full, neighbors, v):
-    return None if neighbors >> v & 1 else neighbors | adj[v]
+def _grow_dependent(adj, full, neighbors, bits, dead):
+    if not bits & (bits - 1):  # one vertex, the scan's usual child
+        return None if neighbors & bits else neighbors | adj[bits.bit_length() - 1]
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        if neighbors & low:
+            return None
+        neighbors |= adj[low.bit_length() - 1]
+    return neighbors
 
 
 def _scan_stratum(adj, full, k, grow, want, cap, least=()):
@@ -91,13 +110,22 @@ def _scan_stratum(adj, full, k, grow, want, cap, least=()):
     grows from its prefix's.  A prefix that satisfies the predicate decides
     its whole subtree at once: its first completion is the hit when a
     satisfying set is wanted (one subset decided), and otherwise the subtree
-    is skipped (every subset in it decided).  `least[r]`, when given, is a
-    lower bound on the element with r elements below it in every failing
+    is skipped (every subset in it decided).  Such a child v is dead in the
+    rest of the scan below this node: every set that holds v and extends
+    the node's prefix satisfies the predicate too, so a dead child is
+    settled with no closure, and a zero-forcing closure stops once it
+    monitors a dead vertex.  A child with a single completion (v equal to
+    the number r of elements still to place below it, or r = 0) is decided
+    by one closure over that whole completion.  `least[r]`, when given, is
+    a lower bound on the element with r elements below it in every failing
     set; children below it are skipped in one step, as satisfying sets that
     come colex-before the rest.  Counts, hits and the `cap + 1` reported on
     exhaustion are those of a scan that decides one subset at a time.
     """
     calls = 0
+    # the single completion of a child v == r is skipped by `least` once
+    # some element below it sits under its bound
+    gap = next((j for j, top in enumerate(least) if top > j), k)
 
     def spend(count):
         nonlocal calls
@@ -105,35 +133,51 @@ def _scan_stratum(adj, full, k, grow, want, cap, least=()):
         if calls > cap:
             raise BudgetExceeded(cap + 1, cap)
 
-    def scan(prefix, state, hi, r):
+    def scan(prefix, state, hi, r, dead):
         """First hit among prefix + v + r elements below v, r <= v < hi."""
         lo = r
         if least and least[r] > r:
             lo = min(least[r], hi)
             spend(comb(lo, r + 1))  # sum of comb(v, r) for r <= v < lo
+        if not r:
+            # the most numerous nodes: each child is one whole subset, and
+            # the subsets decided are spent once, at the hit or at the end
+            for v in range(lo, hi):
+                bit = 1 << v
+                if (bit & dead != 0 or grow(adj, full, state, bit, dead) is None) == want:
+                    spend(v - lo + 1)
+                    return prefix | bit
+            spend(hi - lo)
+            return None
         for v in range(lo, hi):
-            mask = prefix | 1 << v
-            child = grow(adj, full, state, v)
+            bit = 1 << v
+            if v == r:
+                # one completion, prefix + {0..r}
+                bits = (bit << 1) - 1
+                spend(1)
+                done = (r > gap or bits & dead != 0
+                        or grow(adj, full, state, bits, dead) is None)
+                if done == want:
+                    return prefix | bits
+                continue
+            child = None if bit & dead else grow(adj, full, state, bit, dead)
             if child is None:
                 if want:
                     spend(1)
-                    return mask | (1 << r) - 1
+                    return prefix | bit | (1 << r) - 1
                 spend(comb(v, r))
-            elif r:
-                hit = scan(mask, child, v, r - 1)
+                dead |= bit
+            else:
+                hit = scan(prefix | bit, child, v, r - 1, dead)
                 if hit is not None:
                     return hit
-            else:
-                spend(1)
-                if not want:
-                    return mask
         return None
 
     if k == 0:
         # the empty set of a nonempty graph satisfies none of the predicates
         spend(1)
         return (None if want else 0), calls
-    return scan(0, 0, len(adj), k - 1), calls
+    return scan(0, 0, len(adj), k - 1, 0), calls
 
 
 def _strata(g: Graph, grow, want: bool, budget: int):
@@ -177,10 +221,15 @@ def _max_failing(g, grow, parameter, budget) -> SolverResult:
     does every larger subset.
     """
     witness = None
-    for k, hit, calls in _strata(g, grow, False, budget):
-        if hit is None:
-            return SolverResult(parameter, k - 1, witness, calls)
-        witness = VertexSet(g.n, hit)
+    try:
+        for k, hit, calls in _strata(g, grow, False, budget):
+            if hit is None:
+                return SolverResult(parameter, k - 1, witness, calls)
+            witness = VertexSet(g.n, hit)
+    except BudgetExceeded as exc:
+        if witness is None:
+            raise
+        raise BudgetExceeded(exc.calls, exc.budget, len(witness), witness.members()) from None
     # the full vertex set fails too: an edgeless graph is not dependent
     return SolverResult(parameter, g.n, witness, calls)
 

@@ -51,6 +51,20 @@ def test_budget_exhaustion_is_exit_2(capsys):
     assert json.loads(err)["error"] == "budget_exceeded"
 
 
+def test_budget_exhaustion_reports_the_lower_bound(capsys):
+    code, _, err = run(capsys, "fzf", "--family", "path:18", "--budget", "15000")
+    assert code == 2
+    payload = json.loads(err)
+    assert (payload["error"], payload["calls"], payload["budget"]) == ("budget_exceeded", 15001, 15000)
+    assert payload["lower_bound"] == len(payload["witness"]) == 8
+
+
+def test_budget_exhaustion_without_a_lower_bound(capsys):
+    code, _, err = run(capsys, "fzf", "--family", "path:18", "--budget", "0")
+    assert code == 2
+    assert json.loads(err) == {"error": "budget_exceeded", "calls": 1, "budget": 0}
+
+
 def test_negative_budget_is_exit_1(capsys):
     code, out, err = run(capsys, "gammabar", "--family", "cycle:5", "--budget", "-3")
     assert code == 1

@@ -105,3 +105,24 @@ def test_fixpoint_from_a_fixed_point(g, data):
     assert grown == fixpoint_bits(adj, closed | add)
     start = [v for v in range(g.n) if (closed | add) >> v & 1]
     assert grown == sum(1 << v for v in oracles.zf_chain(g.n, g.edges(), start)[-1])
+
+
+@given(graphs(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_fixpoint_from_stops_at_completing_vertices(g, data):
+    adj = g.adjacency_masks()
+    full = (1 << g.n) - 1
+    closed = fixpoint_bits(adj, data.draw(st.integers(min_value=0, max_value=full)))
+    add = data.draw(st.integers(min_value=0, max_value=full))
+    grown = fixpoint_bits(adj, closed | add)
+    # a closure that misses `stop` is not changed by it
+    stop = data.draw(st.integers(min_value=0, max_value=full)) & ~grown
+    assert fixpoint_from(adj, closed, add, stop) == grown
+    # vertices that complete a subset of `closed`: meeting one means the
+    # closure is the whole vertex set
+    part = closed & data.draw(st.integers(min_value=0, max_value=full))
+    stop = sum(1 << w for w in range(g.n) if fixpoint_bits(adj, part | 1 << w) == full)
+    if grown & stop:
+        assert fixpoint_from(adj, closed, add, stop) == full
+    else:
+        assert fixpoint_from(adj, closed, add, stop) == grown

@@ -224,12 +224,21 @@ class TestSolverContract:
             with pytest.raises(BudgetExceeded) as info:
                 solve(cycle(5), budget=0)
             assert (info.value.calls, info.value.budget) == (1, 0), solve.__name__
+            # no stratum finished, so nothing is proven
+            assert (info.value.lower_bound, info.value.witness) == (None, None), solve.__name__
 
     def test_budget_exceeded_pickles(self):
         exc = pickle.loads(pickle.dumps(BudgetExceeded(21, 20)))
         assert isinstance(exc, BudgetExceeded)
         assert (exc.calls, exc.budget) == (21, 20)
         assert str(exc) == str(BudgetExceeded(21, 20))
+        exc = pickle.loads(pickle.dumps(BudgetExceeded(21, 20, 3, [0, 2, 5])))
+        assert (exc.calls, exc.budget, exc.lower_bound, exc.witness) == (21, 20, 3, [0, 2, 5])
+
+    def test_minimum_solvers_report_no_lower_bound(self):
+        with pytest.raises(BudgetExceeded) as info:
+            zero_forcing_number(cycle(8), budget=3)
+        assert (info.value.lower_bound, info.value.witness) == (None, None)
 
 
 class TestScanMatchesReference:
@@ -311,6 +320,31 @@ class TestScanMatchesReference:
         with pytest.raises(BudgetExceeded) as info:
             failed_zero_forcing_number(g, budget=15000)
         assert (info.value.calls, info.value.budget) == (15001, 15000)
+        # F(path:18) = 8 was proven by then, with that failing 8-set
+        assert info.value.lower_bound == 8
+        assert info.value.witness == failed_zero_forcing_number(g).witness.members()
+        assert len(info.value.witness) == 8 and info.value.witness[-1] == 15
+
+    def test_dense_budget_sweep(self):
+        # dense graphs are where children complete their prefixes most often:
+        # dead children, early-stopped zero-forcing closures and single
+        # completions all show up in value, witness and calls
+        rng = random.Random(47)
+        for _ in range(8):
+            n, edges = oracles.random_graph(rng, rng.randint(8, 11), rng.choice([0.5, 0.7, 0.9]))
+            g = Graph(n, edges)
+            for solve in (gamma_bar_p, failed_zero_forcing_number, max_independent_set,
+                          zero_forcing_number):
+                value, witness, total = oracles.reference_solve(solve.__name__, n, edges)
+                for budget in sorted({0, 1, total // 3, total // 2, total - 1, total, total + 5}):
+                    if budget >= total:
+                        res = solve(g, budget=budget)
+                        assert (res.value, tuple(res.witness.members()), res.propagation_calls) \
+                            == (value, witness, total), solve.__name__
+                        continue
+                    with pytest.raises(BudgetExceeded) as info:
+                        solve(g, budget=budget)
+                    assert (info.value.calls, info.value.budget) == (budget + 1, budget)
 
     def test_failed_budget_sweep(self):
         # a solve succeeds iff the budget covers every subset it decides
@@ -353,6 +387,15 @@ class TestExactRegressions:
         res = failed_zero_forcing_number(g, budget=10**30)
         assert res.value == len(res.witness) == 90
         assert not oracles.is_zfs(g.n, g.edges(), res.witness.members())
+
+    def test_kxp_4_5(self):
+        # the dense instance where most scan children complete their prefix:
+        # value, witness and calls pinned to the one-subset-at-a-time scan
+        g = generate(parse_family("kxp:4,5"))
+        res = failed_zero_forcing_number(g)
+        assert (res.value, res.propagation_calls, res.witness.bits) == (14, 19742, 338943)
+        res = gamma_bar_p(g)
+        assert (res.value, res.propagation_calls, res.witness.bits) == (4, 15632, 330)
 
     def test_failed_zero_forcing_grid_6x6(self):
         g = generate(parse_family("grid:6,6"))
