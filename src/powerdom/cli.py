@@ -13,16 +13,7 @@ import sys
 from typing import Optional
 
 from . import families, graphs, propagation, reduction, solvers
-from .errors import (
-    BudgetExceeded,
-    DisconnectedInput,
-    DomainError,
-    LoopError,
-    NoFormula,
-    NotIndependent,
-    ParseError,
-    TooSmall,
-)
+from .errors import BudgetExceeded
 
 
 class UsageError(Exception):
@@ -37,20 +28,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-_USER_ERRORS = (
-    UsageError,
-    ParseError,
-    LoopError,
-    DisconnectedInput,
-    DomainError,
-    NoFormula,
-    TooSmall,
-    NotIndependent,
-    IndexError,
-    KeyError,
-    ValueError,
-    OSError,
-)
+# every user error of the package subclasses ValueError or LookupError
+_USER_ERRORS = (UsageError, ValueError, LookupError, OSError)
 
 
 def _add_graph_source(parser: argparse.ArgumentParser) -> None:

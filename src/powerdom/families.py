@@ -1,14 +1,20 @@
 """Named graph-family generators, closed-form oracles, and the extremal
 characterization of very large failed power domination numbers.
 
-The oracle only answers inside the hypotheses of a proved closed form and
-raises NoFormula otherwise; callers fall back to the exact solvers.
+Each family is one row of `_FAMILIES`: its parameter count, its domain, its
+builder and what the oracle knows of it.  A `FamilySpec` is checked against
+its row when it is made, so a spec that exists is inside its domain.  The
+oracle answers from the parameters alone, without building the graph, and
+only inside the hypotheses of a proved closed form; it raises NoFormula
+otherwise, and callers fall back to the exact solvers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import ceil
+from typing import Callable, NamedTuple, Optional
 
 from .errors import DomainError, NoFormula
 from .graphs import Graph, cartesian_product, complement, components, join
@@ -23,30 +29,114 @@ _ALIASES = {
     "complete_times_path": "kxp",
 }
 
-_ARITY = {
-    "path": 1,
-    "cycle": 1,
-    "complete": 1,
-    "empty": 1,
-    "wheel": 1,
-    "kmn": 2,
-    "ladder": 1,
-    "grid": 2,
-    "ccycle": 1,
-    "cpath": 1,
-    "fanchord": 3,
-    "fanchord+": 3,
-    "kxp": 2,
+
+def _path(n: int) -> Graph:
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def _cycle(n: int) -> Graph:
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def _complete(n: int) -> Graph:
+    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def _kmn(m: int, n: int) -> Graph:
+    return Graph(m + n, [(i, m + j) for i in range(m) for j in range(n)])
+
+
+def _grid(m: int, n: int) -> Graph:
+    g = cartesian_product(_path(m), _path(n))
+    if m <= 10 and n <= 10:
+        # figure-style coordinate labels: "cd" = column c (first path index),
+        # row d (second path index)
+        labels = [f"{c}{d}" for c in range(m) for d in range(n)]
+        return Graph(g.n, g.edges(), labels=labels)
+    return g
+
+
+def _fan_chord(n: int, i: int, k: int, plus: bool = False) -> Graph:
+    # cycle v_1 .. v_n on indices 0 .. n-1, plus chords {v_1, v_i} .. {v_1, v_{i+k-1}}
+    edges = [(j, (j + 1) % n) for j in range(n)]
+    edges.extend((0, j - 1) for j in range(i, i + k))
+    if plus:
+        edges.append((1, i - 2))  # the extra chord {v_2, v_{i-1}}
+    return Graph(n, edges, labels=[f"v{j + 1}" for j in range(n)])
+
+
+def _always(*args: int) -> bool:
+    return True
+
+
+class _Family(NamedTuple):
+    arity: int
+    domain: str  # the domain as error messages state it
+    holds: Callable[..., bool]  # the domain, tested on the parameters
+    build: Callable[..., Graph]
+    # membership in the registry of families whose every vertex is a PDS,
+    # so that gamma_bar_p is 0
+    zero: Optional[Callable[..., bool]] = None
+    # gamma_bar_p in closed form, None outside the formula's hypotheses
+    formula: Optional[Callable[..., Optional[int]]] = None
+
+
+_FAMILIES = {
+    "path": _Family(1, "n >= 1", lambda n: n >= 1, _path, zero=_always),
+    "cycle": _Family(1, "n >= 3", lambda n: n >= 3, _cycle, zero=_always),
+    "complete": _Family(1, "n >= 1", lambda n: n >= 1, _complete, zero=_always),
+    "empty": _Family(1, "n >= 1", lambda n: n >= 1, Graph),
+    "wheel": _Family(1, "n >= 4", lambda n: n >= 4,
+                     lambda n: join(_cycle(n - 1), _complete(1)), zero=_always),
+    "kmn": _Family(2, "m >= n >= 1", lambda m, n: m >= n >= 1, _kmn,
+                   formula=lambda m, n: max(m - 2, 0)),
+    "ladder": _Family(1, "k >= 2", lambda k: k >= 2,
+                      lambda k: cartesian_product(_path(k), _path(2)),
+                      formula=lambda k: ceil((k - 4) / 3) if k >= 4 else None),
+    "grid": _Family(2, "m, n >= 1", lambda m, n: m >= 1 and n >= 1, _grid),
+    "ccycle": _Family(1, "n >= 3", lambda n: n >= 3, lambda n: complement(_cycle(n)),
+                      zero=lambda n: n >= 5),
+    "cpath": _Family(1, "n >= 2", lambda n: n >= 2, lambda n: complement(_path(n)),
+                     zero=lambda n: n >= 4),
+    "fanchord": _Family(3, "i >= 3, k >= 1, i + k <= n - 1",
+                        lambda n, i, k: i >= 3 and k >= 1 and i + k < n,
+                        _fan_chord, zero=_always),
+    "fanchord+": _Family(3, "i >= 5, k >= 1, i + k <= n - 1",
+                         lambda n, i, k: i >= 5 and k >= 1 and i + k < n,
+                         lambda n, i, k: _fan_chord(n, i, k, plus=True), zero=_always),
+    "kxp": _Family(2, "k, l >= 1", lambda k, ell: k >= 1 and ell >= 1,
+                   lambda k, ell: cartesian_product(_complete(k), _path(ell)),
+                   formula=lambda k, ell: (
+                       (k - 2) * ((ell - 1) // 2) if k >= 3 and ell >= 3 else None)),
 }
 
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A family name with its integer parameters; joins carry factor specs."""
+    """A family name with its integer parameters; joins carry factor specs.
+
+    Making a spec outside its family's domain, or a join of fewer than two
+    factors, raises DomainError.
+    """
 
     family: str
     args: tuple[int, ...] = ()
     factors: tuple["FamilySpec", ...] = ()
+
+    def __post_init__(self):
+        if self.family == "join":
+            if len(self.factors) < 2:
+                raise DomainError(f"join needs at least two factors, got {len(self.factors)}")
+            return
+        row = _FAMILIES.get(self.family)
+        if row is None:
+            raise DomainError(f"unknown family {self.family!r}")
+        if len(self.args) != row.arity:
+            raise DomainError(
+                f"family {self.family!r} takes {row.arity} parameter(s), got {len(self.args)}"
+            )
+        if not row.holds(*self.args):
+            raise DomainError(f"{self.describe()} is outside the domain {row.domain}")
 
     def describe(self) -> str:
         if self.family == "join":
@@ -60,147 +150,23 @@ def parse_family(text: str) -> FamilySpec:
     text = text.strip()
     if text.startswith("join:"):
         parts = text[len("join:") :].split("+")
-        if len(parts) < 2 or any(not p for p in parts):
-            raise DomainError(f"join needs at least two factors: {text!r}")
         return FamilySpec("join", factors=tuple(parse_family(p) for p in parts))
-    name, sep, rest = text.partition(":")
-    name = _ALIASES.get(name, name)
-    if name not in _ARITY:
-        raise DomainError(f"unknown family {name!r}")
-    if not sep or not rest:
-        raise DomainError(f"family {name!r} needs parameters")
+    name, _, rest = text.partition(":")
     try:
         args = tuple(int(tok) for tok in rest.split(","))
     except ValueError:
-        raise DomainError(f"non-integer parameter in {text!r}")
-    if len(args) != _ARITY[name]:
-        raise DomainError(
-            f"family {name!r} takes {_ARITY[name]} parameter(s), got {len(args)}"
-        )
-    return FamilySpec(name, args)
-
-
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise DomainError(message)
-
-
-def _path(n: int) -> Graph:
-    _require(n >= 1, f"path needs n >= 1, got {n}")
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def _cycle(n: int) -> Graph:
-    _require(n >= 3, f"cycle needs n >= 3, got {n}")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def _complete(n: int) -> Graph:
-    _require(n >= 1, f"complete graph needs n >= 1, got {n}")
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-def _empty(n: int) -> Graph:
-    _require(n >= 1, f"empty graph needs n >= 1, got {n}")
-    return Graph(n)
-
-
-def _wheel(n: int) -> Graph:
-    _require(n >= 4, f"wheel needs n >= 4, got {n}")
-    return join(_cycle(n - 1), _complete(1))
-
-
-def _kmn(m: int, n: int) -> Graph:
-    _require(m >= n >= 1, f"complete bipartite needs m >= n >= 1, got ({m}, {n})")
-    return Graph(m + n, [(i, m + j) for i in range(m) for j in range(n)])
-
-
-def _grid(m: int, n: int) -> Graph:
-    _require(m >= 1 and n >= 1, f"grid needs m, n >= 1, got ({m}, {n})")
-    g = cartesian_product(_path(m), _path(n))
-    if m <= 10 and n <= 10:
-        # figure-style coordinate labels: "cd" = column c (first path index),
-        # row d (second path index)
-        labels = [f"{c}{d}" for c in range(m) for d in range(n)]
-        return Graph(g.n, g.edges(), labels=labels)
-    return g
-
-
-def _fan_chord_edges(n: int, i: int, k: int) -> list[tuple[int, int]]:
-    # cycle v_1 .. v_n on indices 0 .. n-1, plus chords {v_1, v_i} .. {v_1, v_{i+k-1}}
-    edges = [(j, (j + 1) % n) for j in range(n)]
-    edges.extend((0, j - 1) for j in range(i, i + k))
-    return edges
-
-
-def _fanchord(n: int, i: int, k: int) -> Graph:
-    _require(i >= 3, f"fanchord needs i >= 3, got i={i}")
-    _require(n >= 4, f"fanchord needs n >= 4, got n={n}")
-    _require(k >= 1, f"fanchord needs k >= 1, got k={k}")
-    _require(i + k <= n - 1, f"fanchord needs i+k <= n-1, got i+k={i + k}, n-1={n - 1}")
-    labels = [f"v{j + 1}" for j in range(n)]
-    return Graph(n, _fan_chord_edges(n, i, k), labels=labels)
-
-
-def _fanchord_plus(n: int, i: int, k: int) -> Graph:
-    _require(i >= 5, f"fanchord+ needs i >= 5, got i={i}")
-    _require(n >= 6, f"fanchord+ needs n >= 6, got n={n}")
-    _require(k >= 1, f"fanchord+ needs k >= 1, got k={k}")
-    _require(i + k <= n - 1, f"fanchord+ needs i+k <= n-1, got i+k={i + k}, n-1={n - 1}")
-    edges = _fan_chord_edges(n, i, k)
-    edges.append((1, i - 2))  # the extra chord {v_2, v_{i-1}}
-    labels = [f"v{j + 1}" for j in range(n)]
-    return Graph(n, edges, labels=labels)
+        raise DomainError(f"expected integer parameters after ':' in {text!r}") from None
+    return FamilySpec(_ALIASES.get(name, name), args)
 
 
 def generate(spec: FamilySpec) -> Graph:
     """Build the exact labeled graph of the family statement."""
-    fam, args = spec.family, spec.args
-    if fam == "join":
-        _require(len(spec.factors) >= 2, "join needs at least two factors")
-        g = generate(spec.factors[0])
-        for factor in spec.factors[1:]:
-            g = join(g, generate(factor))
-        return g
-    if fam == "path":
-        return _path(*args)
-    if fam == "cycle":
-        return _cycle(*args)
-    if fam == "complete":
-        return _complete(*args)
-    if fam == "empty":
-        return _empty(*args)
-    if fam == "wheel":
-        return _wheel(*args)
-    if fam == "kmn":
-        return _kmn(*args)
-    if fam == "ladder":
-        k = args[0]
-        _require(k >= 2, f"ladder needs k >= 2, got {k}")
-        return cartesian_product(_path(k), _path(2))
-    if fam == "grid":
-        return _grid(*args)
-    if fam == "ccycle":
-        return complement(_cycle(*args))
-    if fam == "cpath":
-        n = args[0]
-        _require(n >= 2, f"complement of a path needs n >= 2, got {n}")
-        return complement(_path(n))
-    if fam == "fanchord":
-        return _fanchord(*args)
-    if fam == "fanchord+":
-        return _fanchord_plus(*args)
-    if fam == "kxp":
-        k, ell = args
-        _require(k >= 1 and ell >= 1, f"kxp needs k, ell >= 1, got ({k}, {ell})")
-        return cartesian_product(_complete(k), _path(ell))
-    raise DomainError(f"unknown family {fam!r}")
+    if spec.family == "join":
+        return reduce(join, map(generate, spec.factors))
+    return _FAMILIES[spec.family].build(*spec.args)
 
 
 # -- closed-form oracle ------------------------------------------------------
-
-_ZERO_FAMILIES = {"path", "cycle", "complete", "wheel", "ccycle", "cpath",
-                  "fanchord", "fanchord+"}
 
 
 def is_zero_family(spec: FamilySpec) -> bool:
@@ -209,43 +175,22 @@ def is_zero_family(spec: FamilySpec) -> bool:
     Joins qualify when every factor is itself registered or is the
     2-vertex empty graph.
     """
-    fam = spec.family
-    if fam == "join":
-        return all(
-            is_zero_family(f) or (f.family == "empty" and f.args == (2,))
-            for f in spec.factors
-        )
-    if fam not in _ZERO_FAMILIES:
-        return False
-    if fam in {"path", "cycle", "complete", "wheel", "fanchord", "fanchord+"}:
-        generate(spec)  # domain check only
-        return True
-    if fam == "ccycle":
-        return spec.args[0] >= 5
-    if fam == "cpath":
-        return spec.args[0] >= 4
-    return False
+    if spec.family == "join":
+        return all(is_zero_family(f) or (f.family, f.args) == ("empty", (2,))
+                   for f in spec.factors)
+    zero = _FAMILIES[spec.family].zero
+    return zero is not None and zero(*spec.args)
 
 
 def oracle_gamma_bar(spec: FamilySpec) -> int:
     """Closed-form failed power domination number, inside proved hypotheses."""
-    fam, args = spec.family, spec.args
-    if fam == "kmn":
-        m, n = args
-        _require(m >= n >= 1, f"complete bipartite needs m >= n >= 1, got ({m}, {n})")
-        return m - 2 if m >= 2 else 0
-    if fam == "ladder":
-        k = args[0]
-        if k < 4:
-            raise NoFormula(f"ladder formula requires k >= 4, got {k}")
-        return ceil((k - 4) / 3)
-    if fam == "kxp":
-        k, ell = args
-        if k < 3 or ell < 3:
-            raise NoFormula(f"kxp formula requires k, ell >= 3, got ({k}, {ell})")
-        return (k - 2) * ((ell - 1) // 2)
     if is_zero_family(spec):
         return 0
+    row = _FAMILIES.get(spec.family)  # None for a join
+    if row is not None and row.formula is not None:
+        value = row.formula(*spec.args)
+        if value is not None:
+            return value
     raise NoFormula(f"no closed form for {spec.describe()}")
 
 

@@ -119,13 +119,14 @@ def _scan_stratum(adj, full, k, grow, want, cap, least=()):
     by one closure over that whole completion.  `least[r]`, when given, is
     a lower bound on the element with r elements below it in every failing
     set; children below it are skipped in one step, as satisfying sets that
-    come colex-before the rest.  Counts, hits and the `cap + 1` reported on
-    exhaustion are those of a scan that decides one subset at a time.
+    come colex-before the rest.  A single-completion child v == r is
+    reached only when `least[r] == r`, and then `least[j] == j` for every
+    j < r (the colex-first failing sets are {0..j}), so no element of its
+    completion sits below its bound.  Counts, hits and the `cap + 1`
+    reported on exhaustion are those of a scan that decides one subset at
+    a time.
     """
     calls = 0
-    # the single completion of a child v == r is skipped by `least` once
-    # some element below it sits under its bound
-    gap = next((j for j, top in enumerate(least) if top > j), k)
 
     def spend(count):
         nonlocal calls
@@ -155,8 +156,7 @@ def _scan_stratum(adj, full, k, grow, want, cap, least=()):
                 # one completion, prefix + {0..r}
                 bits = (bit << 1) - 1
                 spend(1)
-                done = (r > gap or bits & dead != 0
-                        or grow(adj, full, state, bits, dead) is None)
+                done = bits & dead != 0 or grow(adj, full, state, bits, dead) is None
                 if done == want:
                     return prefix | bits
                 continue

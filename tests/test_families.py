@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from powerdom import (
     NoFormula,
     classify,
     extremal_gamma_bar,
+    families,
     gamma_bar_p,
     generate,
     is_zero_family,
@@ -16,8 +18,16 @@ from powerdom import (
     oracle_gamma_bar,
     parse_family,
 )
+from powerdom.cli import main
 
 import oracles
+
+# descriptors of each family's parameters just outside its domain
+OUT_OF_DOMAIN = [
+    "ladder:1", "kxp:0,3", "ccycle:2", "cpath:1", "empty:0", "grid:0,5",
+    "wheel:3", "kmn:2,3", "fanchord:4,3,2", "fanchord+:7,4,1", "path:0",
+    "cycle:2", "complete:0",
+]
 
 
 class TestParsing:
@@ -46,6 +56,23 @@ class TestParsing:
         for text in ["nosuch:3", "ladder", "ladder:x", "kmn:5", "join:cycle:4"]:
             with pytest.raises(DomainError):
                 parse_family(text)
+
+
+@pytest.mark.parametrize("text", OUT_OF_DOMAIN)
+def test_out_of_domain_is_domain_error(capsys, text):
+    with pytest.raises(DomainError):
+        parse_family(text)
+    name, _, rest = text.partition(":")
+    with pytest.raises(DomainError):
+        FamilySpec(name, tuple(int(tok) for tok in rest.split(",")))
+    for command in ("oracle", "generate"):
+        assert main([command, "--family", text]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
+
+
+def test_join_needs_two_factors():
+    with pytest.raises(DomainError):
+        FamilySpec("join", factors=(parse_family("cycle:4"),))
 
 
 class TestGenerate:
@@ -135,6 +162,27 @@ class TestOracle:
         assert not is_zero_family(parse_family("cpath:3"))
         assert is_zero_family(parse_family("join:path:3+empty:2"))
         assert not is_zero_family(parse_family("join:path:3+empty:3"))
+
+    @pytest.mark.parametrize(
+        "text, zero, value",
+        [
+            ("path:300000", True, 0),
+            ("wheel:200000", True, 0),
+            ("complete:2000", True, 0),
+            ("join:cycle:5+wheel:6+empty:2", True, 0),
+            ("kmn:200000,3", False, 199998),
+            ("ladder:100000", False, 33332),
+        ],
+    )
+    def test_answers_without_building_the_graph(self, monkeypatch, text, zero, value):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle built a graph")
+
+        monkeypatch.setattr(families, "generate", refuse)
+        monkeypatch.setattr(families, "Graph", refuse)
+        spec = parse_family(text)
+        assert is_zero_family(spec) is zero
+        assert oracle_gamma_bar(spec) == value
 
     def test_zero_family_singletons_are_pds(self):
         for text in ["wheel:6", "fanchord:8,3,3", "cpath:5", "ccycle:6"]:
