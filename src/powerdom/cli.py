@@ -2,7 +2,7 @@
 
 JSON output by default (for scripts and fixture regeneration), plain text
 with --plain.  Exit codes: 0 success, 1 usage/domain/parse/I-O error,
-2 work budget exhausted.
+2 budget exhausted (the budget counts subsets decided).
 """
 
 from __future__ import annotations

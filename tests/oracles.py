@@ -117,6 +117,18 @@ def brute_alpha(n, edges):
     return 0
 
 
+def brute_min_fort(n, edges):
+    """Fewest vertices of a fort: a nonempty set F such that no vertex
+    outside F has exactly one neighbor in F (None for the empty graph)."""
+    adj = adj_of(n, edges)
+    for k in range(1, n + 1):
+        for f in combinations(range(n), k):
+            inside = set(f)
+            if all(len(adj[v] & inside) != 1 for v in range(n) if v not in inside):
+                return k
+    return None
+
+
 def colex_subsets(n, k):
     """The k-subsets of range(n) in colexicographic order."""
     return sorted(combinations(range(n), k), key=lambda s: s[::-1])
@@ -180,6 +192,32 @@ def reference_solve(parameter, n, edges):
         if hit is not None:
             return k, hit, calls
     raise AssertionError("the full vertex set always satisfies the predicate")
+
+
+def reference_budgeted(parameter, n, edges, budget):
+    """The outcome of the solver named `parameter` under `budget`: the
+    tuple ("ok", value, witness, calls), or ("exceeded", calls, budget,
+    lower_bound, witness) with the fields of `BudgetExceeded`, where a
+    failed parameter's lower bound and witness are those of the last
+    stratum finished before the budget ran out."""
+    name, direction = SOLVER_SEARCHES[parameter]
+    pred = subset_predicates(n, edges)[name]
+    want = direction == "min"
+    calls, witness = 0, None
+    for k in range(n + 1):
+        hit, spent = scan_stratum(n, k, lambda s: pred(s) == want)
+        if calls + spent > budget:
+            if want or witness is None:
+                return "exceeded", budget + 1, budget, None, None
+            return "exceeded", budget + 1, budget, len(witness), list(witness)
+        calls += spent
+        if want and hit is not None:
+            return "ok", k, hit, calls
+        if not want and hit is None:
+            return "ok", k - 1, witness, calls
+        if not want:
+            witness = hit
+    return "ok", n, witness, calls
 
 
 def brute_connectivity(n, edges):

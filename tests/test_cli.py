@@ -59,6 +59,18 @@ def test_budget_exhaustion_reports_the_lower_bound(capsys):
     assert payload["lower_bound"] == len(payload["witness"]) == 8
 
 
+def test_budget_exhaustion_inside_a_fort_certified_stratum(capsys):
+    # F(kxp:5,6) = 22 decides 106,120 subsets below its certifying stratum
+    # 23, which the fort search settles when the budget covers all
+    # comb(30, 23) of its subsets; 1,000 more leave it to the scan, which
+    # runs out where it always did
+    code, _, err = run(capsys, "fzf", "--family", "kxp:5,6", "--budget", "107120")
+    assert code == 2
+    assert json.loads(err) == {
+        "error": "budget_exceeded", "calls": 107121, "budget": 107120, "lower_bound": 22,
+        "witness": [*range(18), 19, 21, 25, 27]}
+
+
 def test_budget_exhaustion_without_a_lower_bound(capsys):
     code, _, err = run(capsys, "fzf", "--family", "path:18", "--budget", "0")
     assert code == 2

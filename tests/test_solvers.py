@@ -1,7 +1,9 @@
 import pickle
 import random
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from powerdom import (
     BudgetExceeded,
@@ -18,12 +20,14 @@ from powerdom import (
     zero_forcing_number,
 )
 from powerdom.solvers import (
+    _fort_within,
     _grow_dependent,
     _grow_dominating,
     _grow_pds,
     _grow_zfs,
     _scan_stratum,
 )
+from powerdom import solvers
 
 import oracles
 
@@ -364,6 +368,93 @@ class TestScanMatchesReference:
                     assert (info.value.calls, info.value.budget) == (budget + 1, budget)
 
 
+@st.composite
+def min_degree_four_graphs(draw, max_n=10):
+    """Random graphs on 5..max_n vertices whose sparse vertices are joined
+    to their lowest-numbered non-neighbors until every degree is 4."""
+    n = draw(st.integers(5, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = {pair for pair, kept in zip(pairs, keep) if kept}
+    for u in range(n):
+        for v in range(n):
+            if sum(u in e for e in edges) >= 4:
+                break
+            if v != u:
+                edges.add((min(u, v), max(u, v)))
+    return n, sorted(edges)
+
+
+class TestFortRoute:
+    """F by forts: a set fails to force exactly when it misses a fort, so
+    F = n - (fewest vertices of a fort), and the fort-certified stratum
+    keeps the scan's value, witness, calls and budget outcomes."""
+
+    def test_failed_zero_forcing_is_n_minus_min_fort(self):
+        rng = random.Random(48)
+        for _ in range(60):
+            n, edges = oracles.random_graph(rng, rng.randint(1, 10), rng.choice([0.2, 0.5, 0.8]))
+            assert failed_zero_forcing_number(Graph(n, edges)).value \
+                == n - oracles.brute_min_fort(n, edges)
+
+    def test_fort_within_finds_a_fort_iff_one_fits(self):
+        rng = random.Random(49)
+        for _ in range(40):
+            n, edges = oracles.random_graph(rng, rng.randint(1, 9), rng.choice([0.2, 0.5, 0.8]))
+            masks, nbrs = Graph(n, edges).adjacency_masks(), oracles.adj_of(n, edges)
+            smallest = oracles.brute_min_fort(n, edges)
+            for m in range(n + 1):
+                found = _fort_within(masks, m)
+                if m < smallest:
+                    assert found is None, (n, edges, m)
+                    continue
+                members = {v for v in range(n) if found >> v & 1}
+                assert 0 < len(members) <= m
+                assert all(len(nbrs[v] & members) != 1 for v in range(n) if v not in members)
+
+    @given(min_degree_four_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_on_min_degree_four(self, graph):
+        n, edges = graph
+        g = Graph(n, edges)
+        assert min(g.degrees()) >= 4
+        res = failed_zero_forcing_number(g)
+        value, witness, calls = oracles.reference_solve("failed_zero_forcing_number", n, edges)
+        assert (res.value, tuple(res.witness.members()), res.propagation_calls) \
+            == (value, witness, calls)
+
+    @given(min_degree_four_graphs(max_n=9))
+    @settings(max_examples=25, deadline=None)
+    def test_budget_sweep_on_min_degree_four(self, graph):
+        # budgets on either side of the strata below the certifying one and
+        # of the certifying stratum itself, which the fort search settles
+        # only when the budget left covers it
+        n, edges = graph
+        g = Graph(n, edges)
+        value, _, total = oracles.reference_solve("failed_zero_forcing_number", n, edges)
+        below = total - comb(n, value + 1)
+        for budget in sorted({max(b, 0) for b in (below - 1, below, below + 1,
+                                                  total - 1, total, total + 1)}):
+            expected = oracles.reference_budgeted("failed_zero_forcing_number", n, edges, budget)
+            try:
+                res = failed_zero_forcing_number(g, budget=budget)
+            except BudgetExceeded as exc:
+                got = ("exceeded", exc.calls, exc.budget, exc.lower_bound, exc.witness)
+            else:
+                got = ("ok", res.value, tuple(res.witness.members()), res.propagation_calls)
+            assert got == expected, budget
+
+    def test_route_needs_minimum_degree_four(self, monkeypatch):
+        def refuse(adj, m):
+            raise AssertionError("fort search")
+
+        monkeypatch.setattr(solvers, "_fort_within", refuse)
+        for spec in ("wheel:30", "cycle:30", "path:18", "ladder:9", "grid:5,5"):
+            failed_zero_forcing_number(generate(parse_family(spec)), budget=10**12)
+        with pytest.raises(AssertionError, match="fort search"):
+            failed_zero_forcing_number(generate(parse_family("kxp:4,5")))
+
+
 class TestExactRegressions:
     def test_gamma_bar_p_grid_5x5(self):
         g = generate(parse_family("grid:5,5"))
@@ -396,6 +487,13 @@ class TestExactRegressions:
         assert (res.value, res.propagation_calls, res.witness.bits) == (14, 19742, 338943)
         res = gamma_bar_p(g)
         assert (res.value, res.propagation_calls, res.witness.bits) == (4, 15632, 330)
+
+    def test_failed_zero_forcing_kxp_5_6(self):
+        # the certifying stratum 23 holds comb(30, 23) = 2,035,800 subsets,
+        # settled by the fort search
+        res = failed_zero_forcing_number(generate(parse_family("kxp:5,6")))
+        assert (res.value, res.propagation_calls) == (22, 2141920)
+        assert res.witness.members() == [*range(18), 19, 21, 25, 27]
 
     def test_failed_zero_forcing_grid_6x6(self):
         g = generate(parse_family("grid:6,6"))
