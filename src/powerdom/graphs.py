@@ -63,7 +63,7 @@ class VertexSet:
             bits ^= low
 
     def __len__(self) -> int:
-        return bin(self.bits).count("1")
+        return self.bits.bit_count()
 
     def __eq__(self, other) -> bool:
         return (

@@ -12,7 +12,9 @@ on a graph of a few hundred vertices every bit it touches costs an
 operation on an n-bit integer.  The index kernel walks neighbor-index
 tuples instead, with a `bytearray` of monitored flags and, per vertex, a
 count of its unmonitored neighbors, so each edge is touched a bounded
-number of times.  The traces and `classify`'s first closure use it.
+number of times.  The traces and `classify`'s first closure use it.  Its
+set-up costs in proportion to the smaller side of step 0: the monitored
+vertices when s has at most n/2 members, the unmonitored ones otherwise.
 
 The traces keep simultaneous rounds: every vertex that can force at the
 start of a round forces in it, so their steps are those of
@@ -154,20 +156,48 @@ _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _start(g: Graph, s: VertexSet, dominate: bool):
-    """Flags and counts of step 0, N[s] or s itself, and its vertices."""
+    """Flags and counts of step 0, N[s] or s itself, the monitored vertices
+    that may force first, and step 0 as a mask.  A set of at most n/2
+    vertices is walked from its members; of a larger one only the
+    unmonitored vertices U are walked: those outside it, and for N[s] with
+    no neighbor in it."""
     check_universe(g, s)
     nbrs = g.adjacency_lists()
-    mon = bytearray(g.n)
-    left = list(g.degrees())
-    marked = []
-    for v in s:
-        for w in (v, *nbrs[v]) if dominate else (v,):
-            if not mon[w]:
-                mon[w] = 1
-                marked.append(w)
-                for x in nbrs[w]:
-                    left[x] -= 1
-    return nbrs, mon, left, marked
+    adj = g.adjacency_masks()
+    if 2 * len(s) <= g.n:
+        mon = bytearray(g.n)
+        left = list(g.degrees())
+        marked = []
+        step0 = s.bits
+        for v in s:
+            if dominate:
+                step0 |= adj[v]
+            for w in (v, *nbrs[v]) if dominate else (v,):
+                if not mon[w]:
+                    mon[w] = 1
+                    marked.append(w)
+                    for x in nbrs[w]:
+                        left[x] -= 1
+        return nbrs, mon, left, marked, step0
+    mon = bytearray(b"\x01") * g.n
+    left = [0] * g.n
+    step0 = (1 << g.n) - 1
+    rest = step0 ^ s.bits
+    unmonitored = []
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        w = low.bit_length() - 1
+        if dominate and adj[w] & s.bits:
+            continue
+        step0 ^= low
+        mon[w] = 0
+        unmonitored.append(w)
+        for x in nbrs[w]:
+            left[x] += 1
+    # a vertex with one neighbor in U is listed once, from that neighbor
+    first = [x for w in unmonitored for x in nbrs[w] if left[x] == 1 and mon[x]]
+    return nbrs, mon, left, first, step0
 
 
 def _close(nbrs, mon: bytearray, left: list[int], todo: list[int]) -> int:
@@ -200,8 +230,7 @@ def _mask(mon: bytearray) -> int:
 def _trace(g: Graph, kind: str, s: VertexSet, dominate: bool) -> PropagationTrace:
     """The chain in simultaneous rounds: every vertex that can force at the
     start of a round forces in it, as in `run_chain_bits`."""
-    nbrs, mon, left, cand = _start(g, s, dominate)
-    cur = _mask(mon)
+    nbrs, mon, left, cand, cur = _start(g, s, dominate)
     steps = [VertexSet(g.n, cur)]
     while True:
         new = []
@@ -252,9 +281,9 @@ def classify(g: Graph, s: VertexSet) -> Classification:
     needed to decide maximal stalling (only evaluated when s is stalled)."""
     adj = g.adjacency_masks()
     full = (1 << g.n) - 1
-    nbrs, mon, left, step0 = _start(g, s, True)
-    spds = not _close(nbrs, mon, left, step0)
-    monitored = _mask(mon)
+    nbrs, mon, left, todo, step0 = _start(g, s, True)
+    spds = not _close(nbrs, mon, left, todo)
+    monitored = step0 if spds else _mask(mon)
     pds = monitored == full
     properly = spds and monitored != full
     maximal = False

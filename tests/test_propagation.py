@@ -256,20 +256,48 @@ GADGET_SOURCE = generate(parse_family("grid:3,3"))
 GADGET = build_reduction(GADGET_SOURCE)
 
 
-@pytest.mark.parametrize(
-    "spec", ["path:300", "cycle:200", "ladder:50", "kxp:5,20", "gadget"]
-)
+LARGE_SPARSE = ["path:300", "cycle:200", "ladder:50", "kxp:5,20", "gadget"]
+
+
+def large_sparse_graph(spec: str) -> Graph:
+    return GADGET.gprime if spec == "gadget" else generate(parse_family(spec))
+
+
+@pytest.mark.parametrize("spec", LARGE_SPARSE)
 def test_large_sparse_graphs_agree_with_bitmask_kernel(spec):
-    g = GADGET.gprime if spec == "gadget" else generate(parse_family(spec))
+    g = large_sparse_graph(spec)
     rng = random.Random(f"differential {spec}")
     for k in range(1, 9):
         for _ in range(4):
             agrees_with_bitmask_kernel(g, g.vertex_set(rng.sample(range(g.n), k)))
 
 
-def test_gadget_lifts_agree_with_bitmask_kernel():
+@pytest.mark.parametrize("spec", LARGE_SPARSE)
+def test_sets_of_more_than_half_agree_with_bitmask_kernel(spec):
+    # a set of more than n/2 vertices is set up from the vertices outside
+    # it; n // 2 and n // 2 + 1 members sit on either side of the switch
+    g = large_sparse_graph(spec)
+    rng = random.Random(f"large side {spec}")
+    sets = [
+        g.vertex_set(rng.sample(range(g.n), k)).complement()
+        for k in range(9)
+        for _ in range(4)
+    ]
+    sets += [g.vertex_set(rng.sample(range(g.n), g.n // 2 + d)) for d in (0, 1)]
+    sets += [g.full_set() - g.vertex_set([v]) for v in (0, g.n - 1, rng.randrange(g.n))]
+    for s in sets:
+        agrees_with_bitmask_kernel(g, s)
+
+
+def test_gadget_lifts_agree_with_bitmask_kernel(monkeypatch):
     # lifted independent sets are large and stalled, and lifts of maximal
-    # ones are maximally stalled: classify's maximal-stalling loop runs
+    # ones are maximally stalled: classify's maximal-stalling loop runs.
+    # A lift holds about 975 of the gadget's 994 vertices, so it is set up
+    # from the unmonitored side, which never reads the degree counts.
+    def walked(self):
+        raise AssertionError("set up by walking the members of a lifted set")
+
+    monkeypatch.setattr(Graph, "degrees", walked)
     for members, maximal in (([0, 2, 4, 6, 8], True), ([1, 3, 5, 7], True), ([0, 8], False)):
         lifted = lift_independent_set(GADGET, GADGET_SOURCE.vertex_set(members))
         agrees_with_bitmask_kernel(GADGET.gprime, lifted)
@@ -279,8 +307,9 @@ def test_gadget_lifts_agree_with_bitmask_kernel():
 @st.composite
 def sparse_graph_and_set(draw, max_n=40):
     """Up to `max_n` vertices and at most twice as many edges, the last few
-    vertices isolated, with the empty set, the whole vertex set or a drawn
-    set."""
+    vertices isolated, with the empty set, the whole vertex set, a drawn set
+    or its complement, so sets of more and of fewer than n/2 vertices are
+    drawn about equally often."""
     n = draw(st.integers(min_value=0, max_value=max_n))
     vertex = st.integers(min_value=0, max_value=max(n - 1, 0))
     pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
@@ -291,6 +320,7 @@ def sparse_graph_and_set(draw, max_n=40):
             st.just(g.empty_set()),
             st.just(g.full_set()),
             st.sets(vertex, max_size=n).map(g.vertex_set),
+            st.sets(vertex, max_size=n).map(lambda m: g.vertex_set(m).complement()),
         )
     )
     return g, s
