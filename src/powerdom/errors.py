@@ -30,12 +30,14 @@ class NotIndependent(ValueError):
 
 
 class BudgetExceeded(RuntimeError):
-    """Solver hit its work budget before finishing.
+    """Solver ran out of its budget before finishing.
 
-    `calls` holds the number of work units spent when the cap was hit.  A
-    failed-parameter solver also reports what it had proven by then: the
-    largest size with a failing set found, `lower_bound`, and that set's
-    members, `witness` (both None when no stratum had finished).
+    The budget counts subsets decided, and a subtree settled or skipped at
+    once counts every subset in it.  `calls` holds the count when the cap
+    was passed, `budget + 1`.  A failed-parameter solver also reports what
+    it had proven by then: the largest size with a failing set found,
+    `lower_bound`, and that set's members, `witness` (both None when no
+    stratum had finished).
     """
 
     def __init__(self, calls: int, budget: int, lower_bound=None, witness=None):

@@ -153,9 +153,6 @@ class Graph:
 
     # -- adjacency ---------------------------------------------------------
 
-    def adjacency_bits(self, v: int) -> int:
-        return self._adj[v]
-
     def adjacency_masks(self) -> tuple[int, ...]:
         return self._adj
 

@@ -18,11 +18,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DisconnectedInput, NotIndependent, TooSmall
-from .graphs import Graph, VertexSet, is_connected
+from .graphs import Graph, VertexSet, check_universe, is_connected
 from .solvers import _grow_dependent
 
 
 def is_independent_set(g: Graph, s: VertexSet) -> bool:
+    check_universe(g, s)
     # the solvers' dependence predicate: its state is None once s holds an edge
     return _grow_dependent(g.adjacency_masks(), None, 0, s.bits, 0) is not None
 
@@ -39,11 +40,6 @@ class ReductionOutput:
     @property
     def hub(self) -> int:
         return self.source_n + self.source_m * (self.path_len + 1)
-
-    def original_vertex(self, v: int) -> int:
-        if not 0 <= v < self.source_n:
-            raise ValueError(f"no source vertex {v}")
-        return v
 
     def subdiv_vertex(self, edge_index: int) -> int:
         if not 0 <= edge_index < self.source_m:
@@ -63,6 +59,9 @@ class ReductionOutput:
         return base + edge_index * self.path_len + (i - 1)
 
     def m_of(self, k: int) -> int:
+        """The stalled-set size m that an independent k-set lifts to."""
+        if not 0 <= k <= self.source_n:
+            raise ValueError(f"independent-set size {k} outside 0..{self.source_n}")
         return self.path_len * self.source_m + k
 
     def all_path_vertices(self) -> VertexSet:

@@ -1,9 +1,11 @@
 """Exact parameter solvers built on pruned subset enumeration.
 
-Every solver ascends subset sizes against an upward-closed predicate (a
-superset of a set that satisfies it satisfies it too): power domination,
-zero forcing, domination, and dependence (the set holds an edge).  The
-minimum parameters stop at the first size with a satisfying set.  The
+Every solver is one loop, `_solve`, that ascends subset sizes against an
+upward-closed predicate (a superset of a set that satisfies it satisfies
+it too): power domination, zero forcing, domination, and dependence (the
+set holds an edge).  The loop builds the result where it stops, and on
+running out of budget raises the one `BudgetExceeded` the caller sees.
+The minimum parameters stop at the first size with a satisfying set.  The
 failed parameters, and the independence number as the largest set that is
 not dependent, stop at the first size with no failing set: failing sets
 form a downward-closed family, so "no failing set of size k" certifies that
@@ -240,9 +242,13 @@ def _fort_within(adj, m):
     return None
 
 
-def _strata(g: Graph, grow, want: bool, budget: int, forts: bool = False):
-    """Yield (k, colex-first k-subset mask whose predicate value is `want`
-    or None, subsets decided so far) for k = 0, 1, ..., n.
+def _solve(g: Graph, parameter: str, grow, want: bool, budget: int,
+           forts: bool = False) -> SolverResult:
+    """The parameter named `parameter`: with `want`, the first k with a
+    k-subset satisfying the predicate, that set the witness; otherwise
+    k - 1 at the first k with no failing k-subset, the colex-first failing
+    set of the stratum before the witness, and on running out of budget
+    that set and its size are what was proven.
 
     With `forts` (failed zero forcing only): a k-set fails exactly when it
     misses a fort, and then that fort has at most n - k vertices.  At a
@@ -259,7 +265,7 @@ def _strata(g: Graph, grow, want: bool, budget: int, forts: bool = False):
         raise ValueError(f"budget must be >= 0, got {budget}")
     n = g.n
     adj, full = g.adjacency_masks(), (1 << n) - 1
-    calls = 0
+    calls, witness = 0, None
     # failing sets only: tops[j - 1] is the largest element of the
     # colex-first failing j-set.  The j least elements of a failing k-set
     # fail too, so come no earlier in colex order and end at or above it.
@@ -270,60 +276,37 @@ def _strata(g: Graph, grow, want: bool, budget: int, forts: bool = False):
     # search would run otherwise
     smallest_fort = n
     for k in range(n + 1):
-        least = (*tops, tops[-1] + 1) if tops else ()
         if (forts and tops and tops[-1] + 1 < n and smallest_fort > n - k
                 and comb(n, k) <= budget - calls):
-            # `hit` is still the failing set of the stratum before
-            smallest_fort = min(smallest_fort, n - fixpoint_from(adj, 0, hit).bit_count())
+            smallest_fort = min(smallest_fort, n - fixpoint_from(adj, 0, witness.bits).bit_count())
             if smallest_fort > n - k:
                 found = _fort_within(adj, n - k)
                 if found is None:
-                    calls += comb(n, k)
-                    yield k, None, calls
-                    return
+                    return SolverResult(parameter, k - 1, witness, calls + comb(n, k))
                 smallest_fort = found.bit_count()
+        least = (*tops, tops[-1] + 1) if tops else ()
         try:
             hit, spent = _scan_stratum(adj, full, k, grow, want, budget - calls, least)
-        except BudgetExceeded as exc:
-            raise BudgetExceeded(calls + exc.calls, budget) from None
+        except BudgetExceeded:
+            proven = () if witness is None else (len(witness), witness.members())
+            raise BudgetExceeded(budget + 1, budget, *proven) from None
         calls += spent
-        yield k, hit, calls
-        if not want and k and hit is not None:
-            tops.append(hit.bit_length() - 1)
-
-
-def _min_satisfying(g, grow, parameter, budget) -> SolverResult:
-    """Smallest k with a k-subset satisfying the predicate."""
-    for k, hit, calls in _strata(g, grow, True, budget):
-        if hit is not None:
-            return SolverResult(parameter, k, VertexSet(g.n, hit), calls)
-    raise AssertionError(f"no {parameter} witness exists, even the full vertex set")
-
-
-def _max_failing(g, grow, parameter, budget, forts=False) -> SolverResult:
-    """Largest k with a k-subset failing the predicate.
-
-    Valid because the predicate is upward closed, so failing sets form a
-    downward-closed family: once every k-subset satisfies the predicate, so
-    does every larger subset.
-    """
-    witness = None
-    try:
-        for k, hit, calls in _strata(g, grow, False, budget, forts):
-            if hit is None:
-                return SolverResult(parameter, k - 1, witness, calls)
-            witness = VertexSet(g.n, hit)
-    except BudgetExceeded as exc:
-        if witness is None:
-            raise
-        raise BudgetExceeded(exc.calls, exc.budget, len(witness), witness.members()) from None
+        if want:
+            if hit is not None:
+                return SolverResult(parameter, k, VertexSet(n, hit), calls)
+        elif hit is None:
+            return SolverResult(parameter, k - 1, witness, calls)
+        else:
+            witness = VertexSet(n, hit)
+            if k:
+                tops.append(hit.bit_length() - 1)
     # the full vertex set fails too: an edgeless graph is not dependent
-    return SolverResult(parameter, g.n, witness, calls)
+    return SolverResult(parameter, n, witness, calls)
 
 
 def gamma_p(g: Graph, budget: int = DEFAULT_BUDGET) -> SolverResult:
     """Power domination number: smallest PDS cardinality."""
-    return _min_satisfying(g, _grow_pds, "gamma_p", budget)
+    return _solve(g, "gamma_p", _grow_pds, True, budget)
 
 
 def gamma_bar_p(g: Graph, budget: int = DEFAULT_BUDGET) -> SolverResult:
@@ -332,11 +315,11 @@ def gamma_bar_p(g: Graph, budget: int = DEFAULT_BUDGET) -> SolverResult:
     The empty set is an FPDS of any nonempty graph, so the value is >= 0,
     and 0 means every nonempty vertex set is a PDS.
     """
-    return _max_failing(g, _grow_pds, "gamma_bar_p", budget)
+    return _solve(g, "gamma_bar_p", _grow_pds, False, budget)
 
 
 def zero_forcing_number(g: Graph, budget: int = DEFAULT_BUDGET) -> SolverResult:
-    return _min_satisfying(g, _grow_zfs, "zero_forcing_number", budget)
+    return _solve(g, "zero_forcing_number", _grow_zfs, True, budget)
 
 
 def failed_zero_forcing_number(g: Graph, budget: int = DEFAULT_BUDGET) -> SolverResult:
@@ -345,14 +328,14 @@ def failed_zero_forcing_number(g: Graph, budget: int = DEFAULT_BUDGET) -> Solver
     On graphs of minimum degree at least 4 the last stratum is settled by
     a fort search, with the same value, witness and count.
     """
-    return _max_failing(g, _grow_zfs, "failed_zero_forcing_number", budget,
-                        min(g.degrees(), default=0) >= 4)
+    return _solve(g, "failed_zero_forcing_number", _grow_zfs, False, budget,
+                  min(g.degrees(), default=0) >= 4)
 
 
 def domination_number(g: Graph, budget: int = DEFAULT_BUDGET) -> SolverResult:
-    return _min_satisfying(g, _grow_dominating, "domination_number", budget)
+    return _solve(g, "domination_number", _grow_dominating, True, budget)
 
 
 def max_independent_set(g: Graph, budget: int = DEFAULT_BUDGET) -> SolverResult:
     """Independence number: the largest set that holds no edge."""
-    return _max_failing(g, _grow_dependent, "max_independent_set", budget)
+    return _solve(g, "max_independent_set", _grow_dependent, False, budget)

@@ -4,6 +4,7 @@ Everything here works on plain Python sets and adjacency dicts, with no
 shared code paths with the bitmask implementation under test.
 """
 
+from functools import lru_cache
 from itertools import combinations, permutations
 import random
 
@@ -194,18 +195,34 @@ def reference_solve(parameter, n, edges):
     raise AssertionError("the full vertex set always satisfies the predicate")
 
 
+@lru_cache(maxsize=64)
+def reference_strata(parameter, n, edges):
+    """(hit, subsets decided) of each stratum k = 0, 1, ... that the solver
+    named `parameter` scans, up to the one it stops at, by a per-subset
+    colex scan; `edges` is a tuple of pairs, so a sweep over budgets scans
+    each graph once."""
+    name, direction = SOLVER_SEARCHES[parameter]
+    pred = subset_predicates(n, edges)[name]
+    want = direction == "min"
+    strata = []
+    for k in range(n + 1):
+        hit, spent = scan_stratum(n, k, lambda s: pred(s) == want)
+        strata.append((hit, spent))
+        if (hit is not None) == want:
+            break
+    return tuple(strata)
+
+
 def reference_budgeted(parameter, n, edges, budget):
     """The outcome of the solver named `parameter` under `budget`: the
     tuple ("ok", value, witness, calls), or ("exceeded", calls, budget,
     lower_bound, witness) with the fields of `BudgetExceeded`, where a
     failed parameter's lower bound and witness are those of the last
     stratum finished before the budget ran out."""
-    name, direction = SOLVER_SEARCHES[parameter]
-    pred = subset_predicates(n, edges)[name]
-    want = direction == "min"
+    want = SOLVER_SEARCHES[parameter][1] == "min"
     calls, witness = 0, None
-    for k in range(n + 1):
-        hit, spent = scan_stratum(n, k, lambda s: pred(s) == want)
+    strata = reference_strata(parameter, n, tuple(map(tuple, edges)))
+    for k, (hit, spent) in enumerate(strata):
         if calls + spent > budget:
             if want or witness is None:
                 return "exceeded", budget + 1, budget, None, None

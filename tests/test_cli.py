@@ -182,6 +182,16 @@ def test_reduce_too_small(capsys, tmp_path):
     assert json.loads(err)["error"] == "TooSmall"
 
 
+def test_reduce_k_outside_the_source(capsys):
+    for k in ("-5", "4", "99"):
+        code, out, err = run(capsys, "reduce", "--family", "path:3", "--k", k)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "ValueError"
+    code, out, _ = run(capsys, "reduce", "--family", "path:3", "--k", "3")
+    assert code == 0
+    assert json.loads(out)["roles"]["m"] == 21
+
+
 def test_byte_stable_output(capsys):
     outputs = set()
     for _ in range(3):

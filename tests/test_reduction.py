@@ -8,6 +8,7 @@ from powerdom import (
     Graph,
     NotIndependent,
     TooSmall,
+    VertexSet,
     build_reduction,
     classify,
     extract_independent_set,
@@ -40,6 +41,13 @@ class TestBuild:
     def test_disconnected_source(self):
         with pytest.raises(DisconnectedInput):
             build_reduction(Graph(4, [(0, 1), (2, 3)]))
+
+    def test_m_of_needs_a_source_set_size(self):
+        red = build_reduction(Graph(3, [(0, 1), (1, 2)]))
+        assert (red.m_of(0), red.m_of(3)) == (18, 21)
+        for k in (-5, -1, 4, 99):
+            with pytest.raises(ValueError):
+                red.m_of(k)
 
     def test_override_marks_non_faithful(self):
         red = build_reduction(FIG3, path_len=3)
@@ -128,6 +136,16 @@ class TestLiftAndExtract:
         red = build_reduction(FIG3)
         ext = extract_independent_set(red, red.gprime.vertex_set([2, 3]))
         assert not ext.independent
+
+
+def test_is_independent_set_checks_the_universe():
+    g = Graph(3, [(0, 1)])
+    assert not is_independent_set(g, VertexSet(3, 0b11))
+    assert is_independent_set(g, VertexSet(3, 0b101))
+    # a smaller universe used to answer silently, a larger one to crash
+    for s in (VertexSet(2, 0b11), VertexSet(5, 0b11000)):
+        with pytest.raises(ValueError):
+            is_independent_set(g, s)
 
 
 class TestForwardDirection:

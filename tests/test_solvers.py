@@ -335,37 +335,39 @@ class TestScanMatchesReference:
         # completions all show up in value, witness and calls
         rng = random.Random(47)
         for _ in range(8):
-            n, edges = oracles.random_graph(rng, rng.randint(8, 11), rng.choice([0.5, 0.7, 0.9]))
-            g = Graph(n, edges)
-            for solve in (gamma_bar_p, failed_zero_forcing_number, max_independent_set,
-                          zero_forcing_number):
-                value, witness, total = oracles.reference_solve(solve.__name__, n, edges)
-                for budget in sorted({0, 1, total // 3, total // 2, total - 1, total, total + 5}):
-                    if budget >= total:
-                        res = solve(g, budget=budget)
-                        assert (res.value, tuple(res.witness.members()), res.propagation_calls) \
-                            == (value, witness, total), solve.__name__
-                        continue
-                    with pytest.raises(BudgetExceeded) as info:
-                        solve(g, budget=budget)
-                    assert (info.value.calls, info.value.budget) == (budget + 1, budget)
+            assert_budget_sweep(*oracles.random_graph(rng, rng.randint(8, 11),
+                                                      rng.choice([0.5, 0.7, 0.9])))
 
     def test_failed_budget_sweep(self):
         # a solve succeeds iff the budget covers every subset it decides
         rng = random.Random(46)
         for _ in range(10):
-            n, edges = oracles.random_graph(rng, rng.randint(2, 10), rng.choice([0.2, 0.5, 0.8]))
-            g = Graph(n, edges)
-            for solve in (gamma_bar_p, failed_zero_forcing_number, max_independent_set):
-                full = solve(g)
-                total = full.propagation_calls
-                for budget in sorted({0, total // 3, total // 2, total - 1, total}):
-                    if budget >= total:
-                        assert solve(g, budget=budget) == full, solve.__name__
-                        continue
-                    with pytest.raises(BudgetExceeded) as info:
-                        solve(g, budget=budget)
-                    assert (info.value.calls, info.value.budget) == (budget + 1, budget)
+            assert_budget_sweep(*oracles.random_graph(rng, rng.randint(2, 10),
+                                                      rng.choice([0.2, 0.5, 0.8])))
+
+
+def budgeted_outcome(solve, g, budget):
+    """`solve` under `budget`, in the form of `oracles.reference_budgeted`."""
+    try:
+        res = solve(g, budget=budget)
+    except BudgetExceeded as exc:
+        return "exceeded", exc.calls, exc.budget, exc.lower_bound, exc.witness
+    return "ok", res.value, tuple(res.witness.members()), res.propagation_calls
+
+
+def assert_budget_sweep(n, edges):
+    """Every solver's outcome, `BudgetExceeded` fields included, against
+    the reference at budgets on either side of the strata below the one it
+    stops at and of the whole solve."""
+    g = Graph(n, edges)
+    for solve in SOLVERS:
+        strata = oracles.reference_strata(solve.__name__, n, tuple(edges))
+        total = sum(spent for _, spent in strata)
+        below = total - strata[-1][1]
+        for budget in sorted({0, 1, total // 3, total // 2, below - 1, below, below + 1,
+                              total - 1, total, total + 1, total + 5}):
+            expected = oracles.reference_budgeted(solve.__name__, n, edges, budget)
+            assert budgeted_outcome(solve, g, budget) == expected, (solve.__name__, budget)
 
 
 @st.composite
