@@ -22,16 +22,18 @@ left is decided by one closure.  A failed-parameter solve that runs out of
 budget reports the largest failing set it had found.
 
 On graphs of minimum degree at least 4 the failed zero forcing number
-settles its last stratum by a fort search instead (Fast & Hicks 2018).
+finds each stratum's witness by a fort search instead (Fast & Hicks 2018).
 A fort is a nonempty set that no vertex outside it has exactly one
-neighbor in; a set fails to force exactly when it misses a fort, so no
-k-set fails once no fort has at most n - k vertices.  The strata below
-are still scanned, for their colex-first witnesses, and the settled
-stratum counts every one of its comb(n, k) subsets as decided, as its
-scan would, so `calls`, the witness and a budget's outcome do not depend
-on the route.  The search lost to the scan on the paths, cycles,
-ladders, grids and wheels measured, which all have vertices of degree 3
-or less, by up to two orders of magnitude on cycle:30 and wheel:30.
+neighbor in; a set fails to force exactly when it misses a fort, so the
+colex-first failing k-set is the colex-least choice of the k least
+vertices outside a fort of at most n - k vertices, and no k-set fails once
+no fort is that small.  A branch-and-bound over forts finds that set
+directly, and the stratum counts the subsets its scan would decide: the
+set's colex rank plus one, or all comb(n, k) when none fails.  So `calls`,
+the witness and a budget's outcome do not depend on the route.  The
+search lost to the scan on the paths, cycles, ladders, grids and wheels
+measured, which all have vertices of degree 3 or less, by up to a factor
+of 28 on wheel:30, though it won on kxp:3,5 and kxp:3,6.
 """
 
 from __future__ import annotations
@@ -194,41 +196,66 @@ def _scan_stratum(adj, full, k, grow, want, cap, least=()):
     return scan(0, 0, len(adj), k - 1, 0), calls
 
 
-def _fort_within(adj, m):
-    """A fort of at most `m` vertices, or None when there is none.
+def _least(bits, k):
+    """The k least members of the mask `bits`, which has at least k."""
+    top = k
+    while short := k - (bits & (1 << top) - 1).bit_count():
+        top += short
+    return bits & (1 << top) - 1
 
-    A fort is a nonempty vertex set F such that no vertex outside F has
-    exactly one neighbor in F.  The search adds one vertex at a time to F.
-    `ones` and `twos` hold the vertices with at least one and at least two
-    neighbors in F, so the violated vertices are `ones & ~twos & ~F`; each
-    must join F or gain a second neighbor in it.  A node branches on the
-    violated vertex with the fewest such options among its allowed
-    vertices, and a tried option is not allowed in the branches after it,
-    so each fort is reached once (the root, F empty, tries every vertex as
-    the smallest of F).  The stack is explicit: a fort found early can hold
-    a large part of a large graph.
+
+def _colex_rank(bits):
+    """The number of sets of the size of `bits` that come colex-before it."""
+    members = [v for v in range(bits.bit_length()) if bits >> v & 1]
+    return sum(comb(v, i) for i, v in enumerate(members, 1))
+
+
+def _fort_witness(adj, k, bound=None):
+    """The colex-first k-set that fails to force, as a mask, or None when
+    no k-set fails; `bound`, when given, is a k-set known to fail.
+
+    The answer is the colex-least choice of the k least vertices outside F
+    over the forts F of at most n - k vertices (see the module docstring).
+    The search adds one vertex at a time to F.  `ones` and `twos` hold the
+    vertices with at least one and at least two neighbors in F, so the
+    violated vertices are `ones & ~twos & ~F`; each must join F or gain a
+    second neighbor in it.  A node branches on the violated vertex with the
+    fewest such options among its allowed vertices, and a tried option is
+    not allowed in the branches after it, so each fort is reached once; the
+    root branches on the least vertex of F.  Both try the highest first:
+    high vertices in F keep low ones outside it.  The k least vertices
+    outside F only rise, elementwise and so in colex order, as F grows, so
+    a node whose k least outside vertices come no earlier than the best
+    candidate is cut, and the search stops once that is {0..k-1}.
     """
-    full = (1 << len(adj)) - 1
-    # nodes with options left to try: (F, |F|, ones, twos, allowed,
-    # options); the root is the empty set, whose options are all vertices
-    stack = [(0, 0, 0, 0, full, full)] if m > 0 else []
+    n = len(adj)
+    full, first = (1 << n) - 1, (1 << k) - 1
+    best = full + 1 if bound is None else bound
+    # (F, |F|, ones, twos, allowed, the k least vertices outside F): the
+    # root's children F = {i}, allowed above i, the highest i on top
+    stack = [(1 << i, 1, adj[i], 0, full ^ (2 << i) - 1,
+              first if i >= k else first ^ 1 << i | 1 << k) for i in range(n)] if k < n else []
     while stack:
-        fort, size, ones, twos, allowed, options = stack.pop()
-        low = options & -options
-        options ^= low
-        allowed ^= low
-        if options:
-            stack.append((fort, size, ones, twos, allowed, options))
-        nbrs = adj[low.bit_length() - 1]
-        fort |= low
-        size += 1
-        ones, twos = ones | nbrs, twos | ones & nbrs
+        fort, size, ones, twos, allowed, outside = stack.pop()
+        if outside >= best:
+            continue
         bad = ones & ~twos & ~fort
         if not bad:
-            return fort
-        if size == m:
+            best = outside
+            if best == first:
+                break
             continue
-        options, count = 0, len(adj) + 1
+        if size == n - k:
+            continue
+        # a vertex u of `outside` that joins F gives way to `after`, the
+        # next vertex outside F; u is cut in this subtree once that set
+        # comes no earlier than the best, which the lower u the later it is
+        after = (full ^ fort) & -(1 << outside.bit_length())
+        after &= -after
+        late = (outside | after) - best
+        if late > 0:
+            allowed &= ~(outside & (1 << late.bit_length()) - 1)
+        options, count = 0, n + 1
         while bad:
             low = bad & -bad
             bad ^= low
@@ -237,9 +264,15 @@ def _fort_within(adj, m):
                 options, count = mine, mine.bit_count()
                 if count < 2:
                     break
-        if options:
-            stack.append((fort, size, ones, twos, allowed, options))
-    return None
+        # the highest option on top, and excluded from the options below it
+        while options:
+            low = options & -options
+            options ^= low
+            nbrs = adj[low.bit_length() - 1]
+            stack.append((fort | low, size + 1, ones | nbrs, twos | ones & nbrs,
+                          allowed & ~options & ~low,
+                          outside ^ (low | after) if outside & low else outside))
+    return None if best > full else best
 
 
 def _solve(g: Graph, parameter: str, grow, want: bool, budget: int,
@@ -250,14 +283,13 @@ def _solve(g: Graph, parameter: str, grow, want: bool, budget: int,
     set of the stratum before the witness, and on running out of budget
     that set and its size are what was proven.
 
-    With `forts` (failed zero forcing only): a k-set fails exactly when it
-    misses a fort, and then that fort has at most n - k vertices.  At a
-    stratum where no known fort is that small, `_fort_within` looks for
-    one first, and with none no k-set fails: the stratum is settled with
-    all comb(n, k) of its subsets decided, as its scan would count them.
-    The search is left out where the scan is cheap or must report the
-    count on exhaustion: below k = 2, where the bound skips the whole
-    stratum, and where the budget left does not cover the stratum.
+    With `forts` (failed zero forcing only), every stratum k >= 1 takes its
+    colex-first failing set from `_fort_witness` instead of a scan, and
+    counts the subsets its scan would decide: the rank of that set plus
+    one, or all comb(n, k) when none fails.  Its search starts from the k
+    least vertices of cl(W), where W is the stratum before's witness: a
+    vertex of cl(W) with one neighbor outside it would force that
+    neighbor, so V \\ cl(W) is a fort and those k vertices fail.
     """
     if g.n < 1:
         raise ValueError("solvers require at least one vertex")
@@ -270,26 +302,20 @@ def _solve(g: Graph, parameter: str, grow, want: bool, budget: int,
     # colex-first failing j-set.  The j least elements of a failing k-set
     # fail too, so come no earlier in colex order and end at or above it.
     tops = []
-    # the fewest vertices of a fort known: V itself, a fort the search
-    # found, or V \ cl(H) for a failing set H (a vertex of cl(H) with one
-    # neighbor outside it would force that neighbor), taken only where a
-    # search would run otherwise
-    smallest_fort = n
     for k in range(n + 1):
-        if (forts and tops and tops[-1] + 1 < n and smallest_fort > n - k
-                and comb(n, k) <= budget - calls):
-            smallest_fort = min(smallest_fort, n - fixpoint_from(adj, 0, witness.bits).bit_count())
-            if smallest_fort > n - k:
-                found = _fort_within(adj, n - k)
-                if found is None:
-                    return SolverResult(parameter, k - 1, witness, calls + comb(n, k))
-                smallest_fort = found.bit_count()
-        least = (*tops, tops[-1] + 1) if tops else ()
-        try:
-            hit, spent = _scan_stratum(adj, full, k, grow, want, budget - calls, least)
-        except BudgetExceeded:
+        if forts and k:
+            closed = fixpoint_from(adj, 0, witness.bits)
+            hit = _fort_witness(adj, k, _least(closed, k) if closed.bit_count() >= k else None)
+            spent = comb(n, k) if hit is None else _colex_rank(hit) + 1
+        else:
+            least = (*tops, tops[-1] + 1) if tops else ()
+            try:
+                hit, spent = _scan_stratum(adj, full, k, grow, want, budget - calls, least)
+            except BudgetExceeded:
+                spent = budget - calls + 1  # more than is left
+        if spent > budget - calls:
             proven = () if witness is None else (len(witness), witness.members())
-            raise BudgetExceeded(budget + 1, budget, *proven) from None
+            raise BudgetExceeded(budget + 1, budget, *proven)
         calls += spent
         if want:
             if hit is not None:
@@ -325,8 +351,8 @@ def zero_forcing_number(g: Graph, budget: int = DEFAULT_BUDGET) -> SolverResult:
 def failed_zero_forcing_number(g: Graph, budget: int = DEFAULT_BUDGET) -> SolverResult:
     """Failed zero forcing number: largest set that does not force.
 
-    On graphs of minimum degree at least 4 the last stratum is settled by
-    a fort search, with the same value, witness and count.
+    On graphs of minimum degree at least 4 a fort search finds each
+    stratum's witness, with the same value, witness and count.
     """
     return _solve(g, "failed_zero_forcing_number", _grow_zfs, False, budget,
                   min(g.degrees(), default=0) >= 4)

@@ -61,14 +61,24 @@ def test_budget_exhaustion_reports_the_lower_bound(capsys):
 
 def test_budget_exhaustion_inside_a_fort_certified_stratum(capsys):
     # F(kxp:5,6) = 22 decides 106,120 subsets below its certifying stratum
-    # 23, which the fort search settles when the budget covers all
-    # comb(30, 23) of its subsets; 1,000 more leave it to the scan, which
-    # runs out where it always did
+    # 23, which the fort search settles; 1,000 more do not cover all
+    # comb(30, 23) of its subsets, so the solve runs out there, reporting
+    # what a scan would
     code, _, err = run(capsys, "fzf", "--family", "kxp:5,6", "--budget", "107120")
     assert code == 2
     assert json.loads(err) == {
         "error": "budget_exceeded", "calls": 107121, "budget": 107120, "lower_bound": 22,
         "witness": [*range(18), 19, 21, 25, 27]}
+
+
+def test_budget_exhaustion_inside_a_middle_fort_stratum(capsys):
+    # F(kxp:4,5): stratum 14 spans cumulative counts 604-4,238, and its
+    # witness has colex rank 3,634, past the budget left
+    code, _, err = run(capsys, "fzf", "--family", "kxp:4,5", "--budget", "2000")
+    assert code == 2
+    assert json.loads(err) == {
+        "error": "budget_exceeded", "calls": 2001, "budget": 2000, "lower_bound": 13,
+        "witness": [*range(10), 11, 13, 16]}
 
 
 def test_budget_exhaustion_without_a_lower_bound(capsys):

@@ -1,6 +1,6 @@
 import pickle
 import random
-from math import comb
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +20,7 @@ from powerdom import (
     zero_forcing_number,
 )
 from powerdom.solvers import (
-    _fort_within,
+    _fort_witness,
     _grow_dependent,
     _grow_dominating,
     _grow_pds,
@@ -399,20 +399,19 @@ class TestFortRoute:
             assert failed_zero_forcing_number(Graph(n, edges)).value \
                 == n - oracles.brute_min_fort(n, edges)
 
-    def test_fort_within_finds_a_fort_iff_one_fits(self):
+    def test_fort_witness_is_the_colex_first_failing_set(self):
         rng = random.Random(49)
         for _ in range(40):
             n, edges = oracles.random_graph(rng, rng.randint(1, 9), rng.choice([0.2, 0.5, 0.8]))
-            masks, nbrs = Graph(n, edges).adjacency_masks(), oracles.adj_of(n, edges)
-            smallest = oracles.brute_min_fort(n, edges)
-            for m in range(n + 1):
-                found = _fort_within(masks, m)
-                if m < smallest:
-                    assert found is None, (n, edges, m)
-                    continue
-                members = {v for v in range(n) if found >> v & 1}
-                assert 0 < len(members) <= m
-                assert all(len(nbrs[v] & members) != 1 for v in range(n) if v not in members)
+            masks = Graph(n, edges).adjacency_masks()
+            for k in range(n + 1):
+                failing = [sum(1 << v for v in s) for s in oracles.colex_subsets(n, k)
+                           if not oracles.is_zfs(n, edges, s)]
+                first = failing[0] if failing else None
+                assert _fort_witness(masks, k) == first, (n, edges, k)
+                if failing:
+                    bound = rng.choice(failing)
+                    assert _fort_witness(masks, k, bound) == min(bound, first), (n, edges, k)
 
     @given(min_degree_four_graphs())
     @settings(max_examples=60, deadline=None)
@@ -428,33 +427,37 @@ class TestFortRoute:
     @given(min_degree_four_graphs(max_n=9))
     @settings(max_examples=25, deadline=None)
     def test_budget_sweep_on_min_degree_four(self, graph):
-        # budgets on either side of the strata below the certifying one and
-        # of the certifying stratum itself, which the fort search settles
-        # only when the budget left covers it
+        # every stratum above the first takes the fort route: budgets on
+        # either side of each stratum's end, where the route must run out
+        # exactly where the scan does
         n, edges = graph
         g = Graph(n, edges)
-        value, _, total = oracles.reference_solve("failed_zero_forcing_number", n, edges)
-        below = total - comb(n, value + 1)
-        for budget in sorted({max(b, 0) for b in (below - 1, below, below + 1,
-                                                  total - 1, total, total + 1)}):
+        strata = oracles.reference_strata("failed_zero_forcing_number", n, tuple(edges))
+        ends = [0, *accumulate(spent for _, spent in strata)]
+        for budget in sorted({max(b + d, 0) for b in ends for d in (-1, 0, 1)}):
             expected = oracles.reference_budgeted("failed_zero_forcing_number", n, edges, budget)
-            try:
-                res = failed_zero_forcing_number(g, budget=budget)
-            except BudgetExceeded as exc:
-                got = ("exceeded", exc.calls, exc.budget, exc.lower_bound, exc.witness)
-            else:
-                got = ("ok", res.value, tuple(res.witness.members()), res.propagation_calls)
-            assert got == expected, budget
+            assert budgeted_outcome(failed_zero_forcing_number, g, budget) == expected, budget
 
     def test_route_needs_minimum_degree_four(self, monkeypatch):
-        def refuse(adj, m):
+        def refuse(adj, k, bound=None):
             raise AssertionError("fort search")
 
-        monkeypatch.setattr(solvers, "_fort_within", refuse)
+        monkeypatch.setattr(solvers, "_fort_witness", refuse)
         for spec in ("wheel:30", "cycle:30", "path:18", "ladder:9", "grid:5,5"):
             failed_zero_forcing_number(generate(parse_family(spec)), budget=10**12)
         with pytest.raises(AssertionError, match="fort search"):
             failed_zero_forcing_number(generate(parse_family("kxp:4,5")))
+
+    def test_route_scans_only_the_empty_stratum(self, monkeypatch):
+        scanned = []
+
+        def scan(adj, full, k, *args):
+            scanned.append(k)
+            return _scan_stratum(adj, full, k, *args)
+
+        monkeypatch.setattr(solvers, "_scan_stratum", scan)
+        res = failed_zero_forcing_number(generate(parse_family("kxp:4,5")))
+        assert (res.value, scanned) == (14, [0])
 
 
 class TestExactRegressions:
@@ -491,11 +494,22 @@ class TestExactRegressions:
         assert (res.value, res.propagation_calls, res.witness.bits) == (4, 15632, 330)
 
     def test_failed_zero_forcing_kxp_5_6(self):
-        # the certifying stratum 23 holds comb(30, 23) = 2,035,800 subsets,
-        # settled by the fort search
+        # the fort search finds every witness; the certifying stratum 23
+        # counts all comb(30, 23) = 2,035,800 of its subsets as decided
         res = failed_zero_forcing_number(generate(parse_family("kxp:5,6")))
         assert (res.value, res.propagation_calls) == (22, 2141920)
         assert res.witness.members() == [*range(18), 19, 21, 25, 27]
+
+    def test_failed_zero_forcing_kxp_4_8(self):
+        # 30,361,954 subsets decided, out of reach of a scan in tier-1 time
+        res = failed_zero_forcing_number(generate(parse_family("kxp:4,8")))
+        assert (res.value, res.propagation_calls) == (22, 30361954)
+        assert res.witness.members() == [*range(16), 17, 19, 21, 25, 27, 29]
+
+    def test_failed_zero_forcing_kxp_6_4(self):
+        res = failed_zero_forcing_number(generate(parse_family("kxp:6,4")))
+        assert (res.value, res.propagation_calls) == (18, 43855)
+        assert res.witness.members() == [*range(16), 17, 21]
 
     def test_failed_zero_forcing_grid_6x6(self):
         g = generate(parse_family("grid:6,6"))
