@@ -7,14 +7,17 @@ the zero-forcing chain starts from the candidate set itself.
 
 Two kernels compute them.  The bitmask kernel (`fixpoint_from`,
 `fixpoint_bits`, `run_chain_bits`) keeps one adjacency mask per vertex and
-re-checks, each round, the neighborhood of the bits the last round added;
-on a graph of a few hundred vertices every bit it touches costs an
-operation on an n-bit integer.  The index kernel walks neighbor-index
-tuples instead, with a `bytearray` of monitored flags and, per vertex, a
-count of its unmonitored neighbors, so each edge is touched a bounded
-number of times.  The traces and `classify`'s first closure use it.  Its
-set-up costs in proportion to the smaller side of step 0: the monitored
-vertices when s has at most n/2 members, the unmonitored ones otherwise.
+re-checks, each round, the neighborhood of the bits the last round added,
+less the vertices that forced in it; on a graph of a few hundred vertices
+every bit it touches costs an operation on an n-bit integer.
+`run_chain_bits` takes its rounds from `_frontier_round`, which keeps no
+forcers: it is the reference chain the closures are tested against.  The
+index kernel walks neighbor-index tuples instead, with a `bytearray` of
+monitored flags and, per vertex, a count of its unmonitored neighbors, so
+each edge is touched a bounded number of times.  The traces and
+`classify`'s first closure use it.  Its set-up costs in proportion to the
+smaller side of step 0: the monitored vertices when s has at most n/2
+members, the unmonitored ones otherwise.
 
 The traces keep simultaneous rounds: every vertex that can force at the
 start of a round forces in it, so their steps are those of
@@ -26,7 +29,7 @@ The solver scan and `classify`'s maximal-stalling loop keep the bitmask
 kernel: they grow each closure from one that is already a fixed point, and
 `fixpoint_from` re-checks only the neighborhood of the added vertices,
 where the index kernel would copy or rebuild its counters for every set
-tried, which a prototype of each measured slower.  `is_pds` stays the reference
+tried, which a prototype of each measured slower.  `is_pds` stays
 `fixpoint_bits(N[s]) == V`: perfbench's traced runs time the
 propagation layer through `fixpoint_bits` calls and need an entry point
 that makes them.
@@ -71,7 +74,10 @@ def _frontier_round(adj: Sequence[int], cur: int, new: int) -> int:
 
 def fixpoint_from(adj: Sequence[int], closed: int, add: int, stop: int = 0) -> int:
     """Forcing closure of `closed | add`, where `closed` is already a fixed
-    point; each round re-checks only the neighborhood of the bits it added.
+    point; each round re-checks only the neighborhood of the bits it added
+    (one vertex's is its mask), less the vertices that forced in the round
+    before.  Those have no unmonitored neighbor left, and a vertex that
+    forced earlier has no neighbor that can still be added.
 
     `stop` holds vertices w whose forcing closure together with some subset
     of `closed` is the whole vertex set.  Closures are monotone, so once the
@@ -80,10 +86,29 @@ def fixpoint_from(adj: Sequence[int], closed: int, add: int, stop: int = 0) -> i
     """
     cur = closed | add
     new = cur & ~closed
+    forcers = 0
     while new:
         if new & stop:
             return (1 << len(adj)) - 1
-        new = _frontier_round(adj, cur, new)
+        if new & (new - 1):
+            cand = new
+            bits = new
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                cand |= adj[low.bit_length() - 1]
+        else:  # one vertex, as along a chain and in a scan child
+            cand = new | adj[new.bit_length() - 1]
+        cand &= cur ^ forcers  # less last round's forcers
+        unmonitored = ~cur
+        new = forcers = 0
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            out = adj[low.bit_length() - 1] & unmonitored
+            if out.bit_count() == 1:
+                new |= out
+                forcers |= low
         cur |= new
     return cur
 

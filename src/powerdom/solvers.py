@@ -29,11 +29,12 @@ colex-first failing k-set is the colex-least choice of the k least
 vertices outside a fort of at most n - k vertices, and no k-set fails once
 no fort is that small.  A branch-and-bound over forts finds that set
 directly, and the stratum counts the subsets its scan would decide: the
-set's colex rank plus one, or all comb(n, k) when none fails.  So `calls`,
-the witness and a budget's outcome do not depend on the route.  The
-search lost to the scan on the paths, cycles, ladders, grids and wheels
-measured, which all have vertices of degree 3 or less, by up to a factor
-of 28 on wheel:30, though it won on kxp:3,5 and kxp:3,6.
+set's colex rank plus one, or all comb(n, k) when none fails; a witness
+{0..k-1} is found with no search, by one closure grown from that of
+{0..k-2}.  So `calls`, the witness and a budget's outcome do not depend on
+the route.  The search lost to the scan on the paths, cycles, ladders,
+grids and wheels measured, which all have vertices of degree 3 or less, by
+up to a factor of 28 on wheel:30, though it won on kxp:3,5 and kxp:3,6.
 """
 
 from __future__ import annotations
@@ -289,7 +290,9 @@ def _solve(g: Graph, parameter: str, grow, want: bool, budget: int,
     one, or all comb(n, k) when none fails.  Its search starts from the k
     least vertices of cl(W), where W is the stratum before's witness: a
     vertex of cl(W) with one neighbor outside it would force that
-    neighbor, so V \\ cl(W) is a fort and those k vertices fail.
+    neighbor, so V \\ cl(W) is a fort and those k vertices fail.  While W
+    is {0..k-2}, cl({0..k-1}) is grown from cl(W) first; if it is not V,
+    {0..k-1} is the hit and no search runs.
     """
     if g.n < 1:
         raise ValueError("solvers require at least one vertex")
@@ -302,10 +305,18 @@ def _solve(g: Graph, parameter: str, grow, want: bool, budget: int,
     # colex-first failing j-set.  The j least elements of a failing k-set
     # fail too, so come no earlier in colex order and end at or above it.
     tops = []
+    closed = 0  # on the fort route, cl(witness) while that is {0..k-2}
     for k in range(n + 1):
         if forts and k:
-            closed = fixpoint_from(adj, 0, witness.bits)
-            hit = _fort_witness(adj, k, _least(closed, k) if closed.bit_count() >= k else None)
+            first = (1 << k) - 1
+            if witness.bits == first >> 1:
+                grown = fixpoint_from(adj, closed, 1 << k - 1)
+            else:
+                closed, grown = fixpoint_from(adj, 0, witness.bits), full
+            if grown != full:
+                hit, closed = first, grown
+            else:
+                hit = _fort_witness(adj, k, _least(closed, k) if closed.bit_count() >= k else None)
             spent = comb(n, k) if hit is None else _colex_rank(hit) + 1
         else:
             least = (*tops, tops[-1] + 1) if tops else ()

@@ -58,6 +58,13 @@ def zf_chain(n, edges, s):
         steps.append(frozenset(cur))
 
 
+def zf_closure_bits(n, edges, start):
+    """The last step of the zero-forcing chain from the bitmask `start`, as
+    a bitmask."""
+    closure = zf_chain(n, edges, [v for v in range(n) if start >> v & 1])[-1]
+    return sum(1 << v for v in closure)
+
+
 def is_pds(n, edges, s):
     return len(pd_chain(n, edges, s)[-1]) == n
 

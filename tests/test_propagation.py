@@ -17,7 +17,7 @@ from powerdom import (
     zero_forcing_fixpoint,
 )
 from powerdom.graphs import closed_neighborhood_bits
-from powerdom.propagation import fixpoint_bits, run_chain_bits
+from powerdom.propagation import fixpoint_from, run_chain_bits
 
 import oracles
 
@@ -227,7 +227,8 @@ class TestInvariants:
 
 def agrees_with_bitmask_kernel(g: Graph, s: VertexSet) -> None:
     """Trace steps, the PDS test and every verdict of classify against the
-    bitmask reference: `run_chain_bits` and `fixpoint_bits`."""
+    bitmask reference chain `run_chain_bits`, which shares no round with
+    `fixpoint_from`, the closure of `is_pds` and the maximal-stalling loop."""
     adj, full = g.adjacency_masks(), (1 << g.n) - 1
     step0 = closed_neighborhood_bits(adj, s.bits)
     for trace, start in (
@@ -236,7 +237,7 @@ def agrees_with_bitmask_kernel(g: Graph, s: VertexSet) -> None:
     ):
         assert [step.bits for step in trace.steps] == run_chain_bits(adj, start)
         assert trace.stabilized_at == len(trace.steps) - 1
-    closure = fixpoint_bits(adj, step0)
+    closure = run_chain_bits(adj, step0)[-1]
     assert is_pds(g, s) == (closure == full)
     verdict = classify(g, s)
     assert verdict.monitored.bits == closure
@@ -245,7 +246,7 @@ def agrees_with_bitmask_kernel(g: Graph, s: VertexSet) -> None:
     assert verdict.is_spds == (closure == step0)
     assert verdict.properly_stalled == (closure == step0 != full)
     maximal = closure == step0 and all(
-        fixpoint_bits(adj, closed_neighborhood_bits(adj, s.bits | 1 << v)) == full
+        run_chain_bits(adj, closed_neighborhood_bits(adj, s.bits | 1 << v))[-1] == full
         for v in range(g.n)
         if v not in s
     )
@@ -302,6 +303,70 @@ def test_gadget_lifts_agree_with_bitmask_kernel(monkeypatch):
         lifted = lift_independent_set(GADGET, GADGET_SOURCE.vertex_set(members))
         agrees_with_bitmask_kernel(GADGET.gprime, lifted)
         assert classify(GADGET.gprime, lifted).maximally_stalled == maximal
+
+
+def reference_closure(g: Graph, start: int) -> int:
+    """The last step of the reference chain `run_chain_bits`, checked
+    against the oracle's zero-forcing chain."""
+    closure = run_chain_bits(g.adjacency_masks(), start)[-1]
+    assert closure == oracles.zf_closure_bits(g.n, g.edges(), start)
+    return closure
+
+
+@pytest.mark.parametrize("spec", LARGE_SPARSE)
+def test_large_sparse_closures_agree_with_reference_chain(spec):
+    # `fixpoint_from` from scratch and grown from fixed points, as the scan
+    # and the maximal-stalling loop grow it, against the reference chain.
+    # From a path's end a closure runs 299 rounds of one-vertex frontiers.
+    g = large_sparse_graph(spec)
+    adj, full = g.adjacency_masks(), (1 << g.n) - 1
+    rng = random.Random(f"closures {spec}")
+    sets = [1, 1 << g.n - 1] + [g.vertex_set(rng.sample(range(g.n), k)).bits for k in range(1, 9)]
+    fixed, stalled = [], 0
+    for s in sets:
+        for start in (s, closed_neighborhood_bits(adj, s)):
+            closure = reference_closure(g, start)
+            assert fixpoint_from(adj, 0, start) == closure
+            assert fixpoint_from(adj, 0, start, rng.getrandbits(g.n) & ~closure) == closure
+            if closure != full:
+                fixed.append(closure)
+                stalled += closure == start != s
+    if spec == "gadget":
+        # lifts of independent sets: large stalled N[S], the maximal one
+        # closing with any N[v] added
+        for members in ([0, 2, 4, 6, 8], [0, 8]):
+            lifted = lift_independent_set(GADGET, GADGET_SOURCE.vertex_set(members))
+            fixed.append(closed_neighborhood_bits(adj, lifted.bits))
+            stalled += 1
+    # no N[S] short of V stalls on a path or a cycle
+    assert stalled or spec in ("path:300", "cycle:200")
+    hits = 0
+    for closed in fixed:
+        assert fixpoint_from(adj, closed, 0) == closed
+        outside = [v for v in range(g.n) if not closed >> v & 1]
+        v = rng.choice(outside)
+        add = 1 << v | adj[v]
+        grown = reference_closure(g, closed | add)
+        assert fixpoint_from(adj, closed, add) == grown
+        # a `stop` the closure misses changes nothing
+        assert fixpoint_from(adj, closed, add, rng.getrandbits(g.n) & ~grown) == grown
+        # vertices that close the graph together with `closed`, met after
+        # the first round: the closure returns V when it meets one
+        stop = sum(1 << w for w in outside if run_chain_bits(adj, closed | 1 << w)[-1] == full)
+        stop &= ~add
+        hits += bool(grown & stop)
+        assert fixpoint_from(adj, closed, add, stop) == grown
+    assert hits or spec == "kxp:5,20"
+
+
+def test_closures_of_the_smallest_graphs():
+    assert run_chain_bits([], 0) == [0]
+    assert fixpoint_from([], 0, 0) == 0
+    assert fixpoint_from([0], 0, 0) == 0
+    assert fixpoint_from([0], 0, 1) == 1
+    assert fixpoint_from([0], 0, 1, 1) == 1
+    assert fixpoint_from([0], 1, 0) == 1
+    assert fixpoint_from([2, 1], 0, 1) == 3 == run_chain_bits([2, 1], 1)[-1]
 
 
 @st.composite

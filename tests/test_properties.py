@@ -12,7 +12,8 @@ from powerdom import (
     monitored_fixpoint,
     zero_forcing_fixpoint,
 )
-from powerdom.propagation import fixpoint_bits, fixpoint_from
+from powerdom.graphs import closed_neighborhood_bits
+from powerdom.propagation import fixpoint_from, run_chain_bits
 
 import oracles
 
@@ -94,17 +95,30 @@ def test_trace_is_a_strict_chain(data):
             assert a.issubset(b) and len(b) > len(a)
 
 
+def reference_closure(g, start):
+    """The last step of the reference chain `run_chain_bits`, checked
+    against the oracle's zero-forcing chain."""
+    closure = run_chain_bits(g.adjacency_masks(), start)[-1]
+    assert closure == oracles.zf_closure_bits(g.n, g.edges(), start)
+    return closure
+
+
 @given(graphs(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_fixpoint_from_a_fixed_point(g, data):
     adj = g.adjacency_masks()
     full = (1 << g.n) - 1
-    closed = fixpoint_bits(adj, data.draw(st.integers(min_value=0, max_value=full)))
-    add = data.draw(st.integers(min_value=0, max_value=full))
-    grown = fixpoint_from(adj, closed, add)
-    assert grown == fixpoint_bits(adj, closed | add)
-    start = [v for v in range(g.n) if (closed | add) >> v & 1]
-    assert grown == sum(1 << v for v in oracles.zf_chain(g.n, g.edges(), start)[-1])
+    masks = st.integers(min_value=0, max_value=full)
+    closed = reference_closure(g, data.draw(masks))
+    add = data.draw(masks)
+    assert fixpoint_from(adj, closed, add) == reference_closure(g, closed | add)
+    assert fixpoint_from(adj, closed, 0) == closed
+    # the maximal-stalling loop's calls: N[S + v] grown from a stalled N[S]
+    step0 = closed_neighborhood_bits(adj, data.draw(masks))
+    if run_chain_bits(adj, step0) == [step0]:
+        for v in range(g.n):
+            grow = 1 << v | adj[v]
+            assert fixpoint_from(adj, step0, grow) == reference_closure(g, step0 | grow)
 
 
 @given(graphs(), st.data())
@@ -112,16 +126,16 @@ def test_fixpoint_from_a_fixed_point(g, data):
 def test_fixpoint_from_stops_at_completing_vertices(g, data):
     adj = g.adjacency_masks()
     full = (1 << g.n) - 1
-    closed = fixpoint_bits(adj, data.draw(st.integers(min_value=0, max_value=full)))
+    closed = run_chain_bits(adj, data.draw(st.integers(min_value=0, max_value=full)))[-1]
     add = data.draw(st.integers(min_value=0, max_value=full))
-    grown = fixpoint_bits(adj, closed | add)
+    grown = run_chain_bits(adj, closed | add)[-1]
     # a closure that misses `stop` is not changed by it
     stop = data.draw(st.integers(min_value=0, max_value=full)) & ~grown
     assert fixpoint_from(adj, closed, add, stop) == grown
     # vertices that complete a subset of `closed`: meeting one means the
     # closure is the whole vertex set
     part = closed & data.draw(st.integers(min_value=0, max_value=full))
-    stop = sum(1 << w for w in range(g.n) if fixpoint_bits(adj, part | 1 << w) == full)
+    stop = sum(1 << w for w in range(g.n) if run_chain_bits(adj, part | 1 << w)[-1] == full)
     if grown & stop:
         assert fixpoint_from(adj, closed, add, stop) == full
     else:

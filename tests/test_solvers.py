@@ -448,6 +448,27 @@ class TestFortRoute:
         with pytest.raises(AssertionError, match="fort search"):
             failed_zero_forcing_number(generate(parse_family("kxp:4,5")))
 
+    @pytest.mark.parametrize("spec, searched, value, witness, calls", [
+        ("kxp:4,5", [11, 12, 13, 14, 15], 14, [*range(10), 11, 13, 16, 18], 19742),
+        ("complete:8", [7], 6, [*range(6)], 15),
+        ("kmn:6,6", [11], 10, [*range(10)], 23),
+    ])
+    def test_route_searches_only_past_the_first_sets(self, monkeypatch, spec, searched,
+                                                     value, witness, calls):
+        # a stratum whose witness is {0..k-1} is decided by growing the
+        # closure of {0..k-2}; the fort search runs from the first other one
+        seen = []
+
+        def search(adj, k, bound=None):
+            seen.append(k)
+            return _fort_witness(adj, k, bound)
+
+        monkeypatch.setattr(solvers, "_fort_witness", search)
+        res = failed_zero_forcing_number(generate(parse_family(spec)))
+        assert seen == searched
+        assert (res.value, res.witness.members(), res.propagation_calls) \
+            == (value, witness, calls)
+
     def test_route_scans_only_the_empty_stratum(self, monkeypatch):
         scanned = []
 
