@@ -11,7 +11,6 @@ otherwise, and callers fall back to the exact solvers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from math import ceil
 from typing import Callable, NamedTuple, Optional
@@ -111,32 +110,45 @@ _FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class _Spec(NamedTuple):
+    family: str
+    args: tuple[int, ...] = ()
+    factors: tuple[FamilySpec, ...] = ()
+
+
+class FamilySpec(_Spec):
     """A family name with its integer parameters; joins carry factor specs.
 
     Making a spec outside its family's domain, or a join of fewer than two
-    factors, raises DomainError.
+    factors, raises DomainError, on every route: the constructor, `_make`,
+    `_replace`, unpickling and copying.
     """
 
-    family: str
-    args: tuple[int, ...] = ()
-    factors: tuple["FamilySpec", ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family == "join":
-            if len(self.factors) < 2:
-                raise DomainError(f"join needs at least two factors, got {len(self.factors)}")
-            return
-        row = _FAMILIES.get(self.family)
+    def __new__(cls, family: str, args: tuple[int, ...] = (),
+                factors: tuple[FamilySpec, ...] = ()):
+        self = super().__new__(cls, family, args, factors)
+        if family == "join":
+            if len(factors) < 2:
+                raise DomainError(f"join needs at least two factors, got {len(factors)}")
+            return self
+        row = _FAMILIES.get(family)
         if row is None:
-            raise DomainError(f"unknown family {self.family!r}")
-        if len(self.args) != row.arity:
+            raise DomainError(f"unknown family {family!r}")
+        if len(args) != row.arity:
             raise DomainError(
-                f"family {self.family!r} takes {row.arity} parameter(s), got {len(self.args)}"
+                f"family {family!r} takes {row.arity} parameter(s), got {len(args)}"
             )
-        if not row.holds(*self.args):
+        if not row.holds(*args):
             raise DomainError(f"{self.describe()} is outside the domain {row.domain}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> FamilySpec:
+        # the base's builds with tuple.__new__, past the check; `_replace`
+        # goes through here too
+        return cls(*iterable)
 
     def describe(self) -> str:
         if self.family == "join":

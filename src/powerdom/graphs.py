@@ -31,6 +31,10 @@ class VertexSet:
     def __setattr__(self, *_):
         raise AttributeError("VertexSet is immutable")
 
+    def __reduce__(self):
+        # the default restores each slot by assignment, which is refused
+        return VertexSet, (self.n, self.bits)
+
     @classmethod
     def of(cls, n: int, members: Iterable[int]) -> "VertexSet":
         bits = 0
@@ -150,6 +154,12 @@ class Graph:
 
     def __setattr__(self, *_):
         raise AttributeError("Graph is immutable")
+
+    def __setstate__(self, state):
+        # pickling and copying restore each slot by assignment, which
+        # `__setattr__` refuses
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
 
     # -- adjacency ---------------------------------------------------------
 

@@ -37,8 +37,7 @@ that makes them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .graphs import Graph, VertexSet, check_universe, closed_neighborhood
 
@@ -130,8 +129,7 @@ def fixpoint_bits(adj: Sequence[int], start: int) -> int:
     return fixpoint_from(adj, 0, start)
 
 
-@dataclass(frozen=True)
-class PropagationTrace:
+class PropagationTrace(NamedTuple):
     """The monotone chain step 0 <= step 1 <= ... up to its fixed point."""
 
     kind: str
@@ -150,8 +148,7 @@ class PropagationTrace:
         }
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """Verdicts for one (graph, candidate set) pair."""
 
     is_pds: bool

@@ -14,8 +14,7 @@ vertices grouped by edge, hub last.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import DisconnectedInput, NotIndependent, TooSmall
 from .graphs import Graph, VertexSet, check_universe, is_connected
@@ -28,8 +27,7 @@ def is_independent_set(g: Graph, s: VertexSet) -> bool:
     return _grow_dependent(g.adjacency_masks(), None, 0, s.bits, 0) is not None
 
 
-@dataclass(frozen=True)
-class ReductionOutput:
+class ReductionOutput(NamedTuple):
     gprime: Graph
     source_n: int
     source_m: int
@@ -159,8 +157,7 @@ def lift_independent_set(red: ReductionOutput, u: VertexSet) -> VertexSet:
     return VertexSet(red.gprime.n, bits)
 
 
-@dataclass(frozen=True)
-class ExtractedSet:
+class ExtractedSet(NamedTuple):
     vertices: VertexSet  # in the source universe
     independent: bool
 

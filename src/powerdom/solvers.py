@@ -39,9 +39,8 @@ up to a factor of 28 on wheel:30, though it won on kxp:3,5 and kxp:3,6.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import BudgetExceeded
 from .graphs import Graph, VertexSet, closed_neighborhood_bits
@@ -50,8 +49,7 @@ from .propagation import fixpoint_from
 DEFAULT_BUDGET = 10**8
 
 
-@dataclass
-class SolverResult:
+class SolverResult(NamedTuple):
     parameter: str
     value: int
     witness: Optional[VertexSet]

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -224,3 +228,18 @@ def test_solver_subcommands(capsys, command, family, value):
     code, out, _ = run(capsys, command, "--family", family)
     assert code == 0
     assert json.loads(out)["value"] == value
+
+
+def test_import_leaves_out_dataclasses_and_inspect():
+    # in a fresh interpreter, since pytest itself imports both; compared
+    # with the modules loaded before, since `site` preloads some on a host
+    probe = (
+        "import sys; before = set(sys.modules); import powerdom.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 
 import pytest
@@ -58,21 +60,57 @@ class TestParsing:
                 parse_family(text)
 
 
+def assert_every_route_checks(family, args=(), factors=()):
+    """The constructor, `_make`, `_replace`, unpickling and copying each
+    raise DomainError on these fields."""
+    fields = (family, args, factors)
+    valid = parse_family("grid:3,3")
+    # a spec that skipped the check, as `tuple.__new__` builds one
+    unchecked = tuple.__new__(FamilySpec, fields)
+    routes = {
+        "constructor": lambda: FamilySpec(*fields),
+        "_make": lambda: FamilySpec._make(fields),
+        "_replace": lambda: valid._replace(family=family, args=args, factors=factors),
+        "pickle": lambda: pickle.loads(pickle.dumps(unchecked)),
+        "deepcopy": lambda: copy.deepcopy(unchecked),
+    }
+    for route, build in routes.items():
+        with pytest.raises(DomainError):
+            build()
+            pytest.fail(f"{route} made {fields}")
+
+
 @pytest.mark.parametrize("text", OUT_OF_DOMAIN)
 def test_out_of_domain_is_domain_error(capsys, text):
     with pytest.raises(DomainError):
         parse_family(text)
     name, _, rest = text.partition(":")
-    with pytest.raises(DomainError):
-        FamilySpec(name, tuple(int(tok) for tok in rest.split(",")))
+    assert_every_route_checks(name, tuple(int(tok) for tok in rest.split(",")))
     for command in ("oracle", "generate"):
         assert main([command, "--family", text]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
 
 
 def test_join_needs_two_factors():
-    with pytest.raises(DomainError):
-        FamilySpec("join", factors=(parse_family("cycle:4"),))
+    assert_every_route_checks("join", factors=(parse_family("cycle:4"),))
+    assert_every_route_checks("grid", (3,))  # one parameter short
+    assert_every_route_checks("nosuch", (3,))
+
+
+def test_spec_is_an_immutable_value():
+    spec = parse_family("join:cycle:4+kmn:3,2")
+    assert spec == FamilySpec("join", factors=(FamilySpec("cycle", (4,)), FamilySpec("kmn", (3, 2))))
+    assert hash(spec) == hash(parse_family("join:cycle:4+kmn:3,2"))
+    for copy_of in (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy):
+        twin = copy_of(spec)
+        assert type(twin) is FamilySpec and twin == spec
+        assert type(twin.factors[1]) is FamilySpec
+    assert spec.factors[0]._replace(args=(5,)) == parse_family("cycle:5")
+    assert FamilySpec._make(("grid", (2, 3))).describe() == "grid:2,3"
+    with pytest.raises(AttributeError):
+        spec.family = "wheel"
+    with pytest.raises(AttributeError):
+        spec.extra = None
 
 
 class TestGenerate:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -67,6 +69,23 @@ class TestVertexSet:
         s = VertexSet.of(3, [1])
         with pytest.raises(AttributeError):
             s.bits = 7
+
+
+@pytest.mark.parametrize(
+    "copy_of",
+    [lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_immutable_types_pickle_and_copy(copy_of):
+    # the default restores each slot by assignment, which both refuse
+    s = VertexSet.of(5, [1, 4])
+    assert copy_of(s) == s and copy_of(s).members() == [1, 4]
+    g = Graph(3, [(2, 1), (0, 1)], labels=["a", "b", "c"])
+    h = copy_of(g)
+    assert h == g and h.labels == g.labels
+    assert h.adjacency_lists() == g.adjacency_lists() and h.degrees() == g.degrees()
+    with pytest.raises(AttributeError):
+        h.n = 4
 
 
 class TestEdgeListParsing:

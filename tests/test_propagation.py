@@ -20,6 +20,7 @@ from powerdom.graphs import closed_neighborhood_bits
 from powerdom.propagation import fixpoint_from, run_chain_bits
 
 import oracles
+from contracts import assert_value_type
 
 GRID = generate(parse_family("grid:6,6"))
 FIG2_BLUE = [
@@ -410,13 +411,25 @@ def test_vertex_set_from_another_universe(fn, s):
 
 def test_trace_json():
     trace = monitored_fixpoint(path(3), VertexSet.of(3, [0]))
+    assert_value_type(trace, monitored_fixpoint(path(3), VertexSet.of(3, [0])),
+                      ("kind", "steps", "stabilized_at"))
+    assert trace.fixed_point == VertexSet.of(3, [0, 1, 2])
     payload = trace.to_json_dict()
     assert payload["kind"] == "power-domination"
     assert payload["steps"][0] == [0, 1]
     assert payload["stabilized_at"] == len(payload["steps"]) - 1
+    assert payload == {"kind": "power-domination", "steps": [[0, 1], [0, 1, 2]],
+                       "stabilized_at": 1}
 
 
 def test_classification_json():
-    payload = classify(path(3), VertexSet.of(3, [1])).to_json_dict()
+    verdict = classify(path(3), VertexSet.of(3, [1]))
+    assert_value_type(verdict, classify(path(3), VertexSet.of(3, [1])),
+                      ("is_pds", "is_fpds", "is_spds", "properly_stalled",
+                       "maximally_stalled", "monitored"))
+    payload = verdict.to_json_dict()
     assert payload["is_pds"] is True
     assert payload["monitored"] == [0, 1, 2]
+    assert payload == {"is_pds": True, "is_fpds": False, "is_spds": True,
+                       "properly_stalled": False, "maximally_stalled": True,
+                       "monitored": [0, 1, 2]}

@@ -18,6 +18,7 @@ from powerdom import (
 )
 
 import oracles
+from contracts import assert_value_type
 
 FIG3 = Graph(4, [(0, 1), (1, 2), (1, 3), (2, 3)])
 
@@ -83,12 +84,20 @@ class TestBuild:
 
     def test_labels_and_roles_json(self):
         red = build_reduction(Graph(3, [(0, 1), (1, 2), (0, 2)]), path_len=2)
+        assert_value_type(red, build_reduction(Graph(3, [(0, 1), (1, 2), (0, 2)]), path_len=2),
+                          ("gprime", "source_n", "source_m", "source_edges", "path_len",
+                           "faithful"))
         assert red.gprime.label_of(red.hub) == "x"
         assert red.gprime.label_of(red.subdiv_vertex(1)) == "e1.0"
         roles = red.roles_json_dict()
         assert roles["hub"] == red.hub
         assert roles["paths"]["0"] == [red.path_vertex(0, 1), red.path_vertex(0, 2)]
         assert roles["m_base"] == 2 * 3
+        assert roles == {
+            "source_n": 3, "source_m": 3, "path_len": 2, "faithful": False,
+            "original": [0, 1, 2], "subdivision": {"0": 3, "1": 4, "2": 5},
+            "paths": {"0": [6, 7], "1": [8, 9], "2": [10, 11]}, "hub": 12, "m_base": 6,
+        }
 
 
 class TestLiftAndExtract:
@@ -122,7 +131,10 @@ class TestLiftAndExtract:
         red = build_reduction(FIG3)
         for members in [[0, 2], [0, 3], [0], []]:
             u = FIG3.vertex_set(members)
-            ext = extract_independent_set(red, lift_independent_set(red, u))
+            lifted = lift_independent_set(red, u)
+            ext = extract_independent_set(red, lifted)
+            assert_value_type(ext, extract_independent_set(red, lifted),
+                              ("vertices", "independent"))
             assert ext.vertices == u
             assert ext.independent
 

@@ -30,6 +30,7 @@ from powerdom.solvers import (
 from powerdom import solvers
 
 import oracles
+from contracts import assert_value_type
 
 
 def path(n):
@@ -212,11 +213,16 @@ class TestSolverContract:
             assert gamma_bar_p(g).value <= failed_zero_forcing_number(g).value
 
     def test_json_shape(self):
-        payload = gamma_bar_p(star(3)).to_json_dict()
+        res = gamma_bar_p(star(3))
+        assert_value_type(res, gamma_bar_p(star(3)),
+                          ("parameter", "value", "witness", "propagation_calls"))
+        assert res.value == 1 and res.witness.members() == [1]
+        payload = res.to_json_dict()
         assert payload["parameter"] == "gamma_bar_p"
         assert payload["value"] == 1
         assert isinstance(payload["witness"], list)
         assert payload["calls"] > 0
+        assert payload == {"parameter": "gamma_bar_p", "value": 1, "witness": [1], "calls": 9}
 
     def test_negative_budget_is_rejected(self):
         with pytest.raises(ValueError):
@@ -537,3 +543,45 @@ class TestExactRegressions:
         res = failed_zero_forcing_number(g)
         assert res.value == 30
         assert not oracles.is_zfs(g.n, g.edges(), res.witness.members())
+
+
+def grid(m, n):
+    return generate(parse_family(f"grid:{m},{n}"))
+
+
+class TestPublishedClosedForms:
+    """The enumerator against closed forms with published proofs, a route
+    independent of it past the brute-force oracles' reach."""
+
+    def test_zero_forcing_of_small_families(self):
+        # AIM Minimum Rank-Special Graphs Work Group (2008)
+        for n in range(1, 11):
+            assert zero_forcing_number(path(n)).value == 1, n
+        for n in range(3, 11):
+            assert zero_forcing_number(cycle(n)).value == 2, n
+        for n in range(2, 9):
+            assert zero_forcing_number(complete(n)).value == n - 1, n
+        for m in range(2, 7):
+            for n in range(1, m + 1):
+                g = generate(parse_family(f"kmn:{m},{n}"))
+                assert zero_forcing_number(g).value == m + n - 2, (m, n)
+
+    def test_zero_forcing_of_grids(self):
+        # Z(P_m x P_n) = min(m, n), same source
+        for m in range(1, 6):
+            for n in range(1, m + 1):
+                assert zero_forcing_number(grid(m, n)).value == min(m, n), (m, n)
+
+    def test_independence_of_grids(self):
+        # the two colour classes of the bipartite grid, the larger one maximum
+        for m in range(1, 6):
+            for n in range(1, m + 1):
+                assert max_independent_set(grid(m, n)).value == -(-m * n // 2), (m, n)
+
+    def test_power_domination_of_grids(self):
+        # Dorfling & Henning (2006): for m >= n >= 1, ceil((n + 1)/4) when
+        # n = 4 (mod 8), else ceil(n/4)
+        for m in range(1, 11):
+            for n in range(1, m + 1):
+                want = -(-(n + 1) // 4) if n % 8 == 4 else -(-n // 4)
+                assert gamma_p(grid(m, n)).value == want, (m, n)
