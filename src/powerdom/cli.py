@@ -118,10 +118,7 @@ def _cmd_trace(args) -> int:
 
 def _cmd_generate(args) -> int:
     g = families.generate(families.parse_family(args.family))
-    if args.json_out:
-        print(json.dumps(g.to_json_dict()))
-    else:
-        sys.stdout.write(graphs.to_edge_list_text(g))
+    _emit(g.to_json_dict(), graphs.to_edge_list_text(g).splitlines(), args.json_out)
     return 0
 
 
@@ -150,11 +147,8 @@ def _cmd_reduce(args) -> int:
               [f"wrote {args.out}.el and {args.out}.json ({red.gprime.n} vertices)"],
               args.json_out)
     else:
-        payload = {"gprime": red.gprime.to_json_dict(), "roles": roles}
-        if args.json_out:
-            print(json.dumps(payload))
-        else:
-            sys.stdout.write(graphs.to_edge_list_text(red.gprime))
+        _emit({"gprime": red.gprime.to_json_dict(), "roles": roles},
+              graphs.to_edge_list_text(red.gprime).splitlines(), args.json_out)
     return 0
 
 

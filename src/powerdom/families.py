@@ -119,9 +119,10 @@ class _Spec(NamedTuple):
 class FamilySpec(_Spec):
     """A family name with its integer parameters; joins carry factor specs.
 
-    Making a spec outside its family's domain, or a join of fewer than two
-    factors, raises DomainError, on every route: the constructor, `_make`,
-    `_replace`, unpickling and copying.
+    Making a spec outside its family's domain, a join of fewer than two
+    factors, a join with parameters or another family with factors raises
+    DomainError, on every route: the constructor, `_make`, `_replace`,
+    unpickling and copying.
     """
 
     __slots__ = ()
@@ -132,10 +133,14 @@ class FamilySpec(_Spec):
         if family == "join":
             if len(factors) < 2:
                 raise DomainError(f"join needs at least two factors, got {len(factors)}")
+            if args:
+                raise DomainError(f"join takes no parameters, got {len(args)}")
             return self
         row = _FAMILIES.get(family)
         if row is None:
             raise DomainError(f"unknown family {family!r}")
+        if factors:
+            raise DomainError(f"only a join takes factors, not family {family!r}")
         if len(args) != row.arity:
             raise DomainError(
                 f"family {family!r} takes {row.arity} parameter(s), got {len(args)}"

@@ -214,12 +214,14 @@ class Graph:
         return str(v)
 
     def index_of_label(self, label: str) -> int:
+        """The vertex labeled `label`; KeyError unless exactly one is."""
         if self.labels is None:
             raise KeyError(f"graph carries no labels (looking up {label!r})")
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"no vertex labeled {label!r}") from None
+        count = self.labels.count(label)
+        if count != 1:
+            raise KeyError(f"label {label!r} names {count} vertices" if count
+                           else f"no vertex labeled {label!r}")
+        return self.labels.index(label)
 
     def set_of_labels(self, labels: Iterable[str]) -> VertexSet:
         return VertexSet.of(self.n, (self.index_of_label(s) for s in labels))
@@ -386,17 +388,9 @@ def _component_masks(adj: Sequence[int], alive: int) -> list[int]:
     comps = []
     remaining = alive
     while remaining:
-        seed = remaining & -remaining
-        comp = seed
-        frontier = seed
+        comp = frontier = remaining & -remaining
         while frontier:
-            nxt = 0
-            bits = frontier
-            while bits:
-                low = bits & -bits
-                nxt |= adj[low.bit_length() - 1] & alive
-                bits ^= low
-            frontier = nxt & ~comp
+            frontier = closed_neighborhood_bits(adj, frontier) & alive & ~comp
             comp |= frontier
         comps.append(comp)
         remaining &= ~comp

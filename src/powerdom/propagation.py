@@ -7,15 +7,15 @@ the zero-forcing chain starts from the candidate set itself.
 
 Two kernels compute them.  The bitmask kernel (`fixpoint_from`,
 `fixpoint_bits`, `run_chain_bits`) keeps one adjacency mask per vertex and
-re-checks, each round, the neighborhood of the bits the last round added,
-less the vertices that forced in it; on a graph of a few hundred vertices
-every bit it touches costs an operation on an n-bit integer.
-`run_chain_bits` takes its rounds from `_frontier_round`, which keeps no
-forcers: it is the reference chain the closures are tested against.  The
-index kernel walks neighbor-index tuples instead, with a `bytearray` of
-monitored flags and, per vertex, a count of its unmonitored neighbors, so
-each edge is touched a bounded number of times.  The traces and
-`classify`'s first closure use it.  Its set-up costs in proportion to the
+re-checks, each round, the neighborhood of the bits the last round added;
+on a graph of a few hundred vertices every bit it touches costs an
+operation on an n-bit integer.  `fixpoint_from` also skips the vertices
+that forced in the round before; `run_chain_bits` keeps no forcers and is
+the reference chain the closures are tested against.  The index kernel
+walks neighbor-index tuples instead, with a `bytearray` of monitored flags
+and, per vertex, a count of its unmonitored neighbors, so each edge is
+touched a bounded number of times.  The traces and `classify`'s first
+closure use it.  Its set-up costs in proportion to the
 smaller side of step 0: the monitored vertices when s has at most n/2
 members, the unmonitored ones otherwise.
 
@@ -39,36 +39,11 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .graphs import Graph, VertexSet, check_universe, closed_neighborhood
+from .graphs import (Graph, VertexSet, check_universe, closed_neighborhood,
+                     closed_neighborhood_bits)
 
 POWER_DOMINATION = "power-domination"
 ZERO_FORCING = "zero-forcing"
-
-
-def _frontier_round(adj: Sequence[int], cur: int, new: int) -> int:
-    """One simultaneous forcing round of `cur`; returns the bits newly forced.
-
-    `new` holds the bits added to `cur` since its last round, or since a
-    fixed point it grew from.  Only the monitored vertices of N[new] are
-    checked: any other monitored vertex has the same unmonitored neighbors
-    as in that round, where it forced nothing.
-    """
-    cand = new
-    bits = new
-    while bits:
-        low = bits & -bits
-        bits ^= low
-        cand |= adj[low.bit_length() - 1]
-    cand &= cur
-    unmonitored = ~cur
-    add = 0
-    while cand:
-        low = cand & -cand
-        cand ^= low
-        out = adj[low.bit_length() - 1] & unmonitored
-        if out and not (out & (out - 1)):
-            add |= out
-    return add
 
 
 def fixpoint_from(adj: Sequence[int], closed: int, add: int, stop: int = 0) -> int:
@@ -90,6 +65,7 @@ def fixpoint_from(adj: Sequence[int], closed: int, add: int, stop: int = 0) -> i
         if new & stop:
             return (1 << len(adj)) - 1
         if new & (new - 1):
+            # walked inline: `closed_neighborhood_bits` measured slower here
             cand = new
             bits = new
             while bits:
@@ -113,11 +89,21 @@ def fixpoint_from(adj: Sequence[int], closed: int, add: int, stop: int = 0) -> i
 
 
 def run_chain_bits(adj: Sequence[int], start: int) -> list[int]:
-    """Full chain of monitored-set masks, up to the first repeat (exclusive)."""
+    """Full chain of monitored-set masks, up to the first repeat (exclusive).
+    A round checks the monitored vertices of N[bits added the round before]:
+    any other has the unmonitored neighbors it had then, and forced nothing."""
     steps = [start]
     cur = new = start
     while True:
-        new = _frontier_round(adj, cur, new)
+        cand = closed_neighborhood_bits(adj, new) & cur
+        unmonitored = ~cur
+        new = 0
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            out = adj[low.bit_length() - 1] & unmonitored
+            if out.bit_count() == 1:
+                new |= out
         if not new:
             return steps
         cur |= new

@@ -51,10 +51,14 @@ class ReductionOutput(NamedTuple):
             return self.subdiv_vertex(edge_index)
         if not 1 <= i <= self.path_len:
             raise ValueError(f"path position {i} outside 1..{self.path_len}")
+        return self._path(edge_index)[i - 1]
+
+    def _path(self, edge_index: int) -> range:
+        """The pendant-path vertices 1..path_len of the given edge, in order."""
         if not 0 <= edge_index < self.source_m:
             raise ValueError(f"no source edge {edge_index}")
-        base = self.source_n + self.source_m
-        return base + edge_index * self.path_len + (i - 1)
+        first = self.source_n + self.source_m + edge_index * self.path_len
+        return range(first, first + self.path_len)
 
     def m_of(self, k: int) -> int:
         """The stalled-set size m that an independent k-set lifts to."""
@@ -80,8 +84,7 @@ class ReductionOutput(NamedTuple):
                 str(j): self.subdiv_vertex(j) for j in range(self.source_m)
             },
             "paths": {
-                str(j): [self.path_vertex(j, i) for i in range(1, self.path_len + 1)]
-                for j in range(self.source_m)
+                str(j): list(self._path(j)) for j in range(self.source_m)
             },
             "hub": self.hub,
             "m_base": self.path_len * self.source_m,
@@ -104,37 +107,17 @@ def build_reduction(g: Graph, path_len: Optional[int] = None) -> ReductionOutput
         raise ValueError(f"path length must be >= 1, got {length}")
 
     src_edges = tuple(g.edges())
-    n, m = g.n, len(src_edges)
-    total = n + m * (length + 1) + 1
-    hub = total - 1
-
+    red = ReductionOutput(None, g.n, len(src_edges), src_edges, length, faithful)
+    labels = [None] * (red.hub + 1)
+    labels[: g.n] = map(g.label_of, range(g.n))
+    labels[red.hub] = "x"
     edges: list[tuple[int, int]] = []
-    labels = [g.label_of(v) for v in range(n)]
-    labels += [f"e{j}.0" for j in range(m)]
-    labels += [f"e{j}.{i}" for j in range(m) for i in range(1, length + 1)]
-    labels.append("x")
-
-    path_base = n + m
     for j, (u, v) in enumerate(src_edges):
-        sub = n + j
-        edges.append((u, sub))
-        edges.append((sub, v))
-        edges.append((hub, sub))
-        prev = sub
-        for i in range(1, length + 1):
-            cur = path_base + j * length + (i - 1)
-            edges.append((prev, cur))
-            prev = cur
-
-    gprime = Graph(total, edges, labels=labels)
-    return ReductionOutput(
-        gprime=gprime,
-        source_n=n,
-        source_m=m,
-        source_edges=src_edges,
-        path_len=length,
-        faithful=faithful,
-    )
+        sub, path = red.subdiv_vertex(j), red._path(j)
+        edges += [(u, sub), (sub, v), (red.hub, sub), *zip((sub, *path), path)]
+        labels[sub] = f"e{j}.0"
+        labels[path.start : path.stop] = [f"e{j}.{i}" for i in range(1, length + 1)]
+    return red._replace(gprime=Graph(red.hub + 1, edges, labels))
 
 
 def _source_edge_within(red: ReductionOutput, u: VertexSet) -> Optional[tuple[int, int]]:

@@ -145,10 +145,10 @@ def test_trace_zero_forcing(capsys):
 def test_generate_json_and_plain(capsys):
     code, out, _ = run(capsys, "generate", "--family", "path:3")
     assert code == 0
-    assert json.loads(out) == {"n": 3, "edges": [[0, 1], [1, 2]]}
+    assert out == '{"n": 3, "edges": [[0, 1], [1, 2]]}\n'
     code, out, _ = run(capsys, "generate", "--family", "path:3", "--plain")
     assert code == 0
-    assert out.splitlines() == ["3", "0 1", "1 2"]
+    assert out == "3\n0 1\n1 2\n"
 
 
 def test_oracle(capsys):
@@ -186,6 +186,32 @@ def test_reduce_stdout(capsys, tmp_path):
     assert roles["faithful"] is False
     edge_text = (tmp_path / "gadget.el").read_text()
     assert edge_text.splitlines()[0] == str(3 * 4 + 4 + 1)
+
+
+def test_reduce_stdout_bytes(capsys):
+    # path:3 with one-vertex paths: subdivisions 3 and 4, path vertices 5
+    # and 6, hub 7
+    argv = ("reduce", "--family", "path:3", "--path-len", "1")
+    assert run(capsys, *argv, "--plain") == (
+        0, "8\n0 3\n1 3\n1 4\n2 4\n3 5\n3 7\n4 6\n4 7\n", "")
+    assert run(capsys, *argv, "--k", "1") == (0, (
+        '{"gprime": {"n": 8, "edges": [[0, 3], [1, 3], [1, 4], [2, 4], [3, 5], [3, 7], '
+        '[4, 6], [4, 7]], "labels": ["0", "1", "2", "e0.0", "e1.0", "e0.1", "e1.1", "x"]}, '
+        '"roles": {"source_n": 3, "source_m": 2, "path_len": 1, "faithful": false, '
+        '"original": [0, 1, 2], "subdivision": {"0": 3, "1": 4}, "paths": {"0": [5], '
+        '"1": [6]}, "hub": 7, "m_base": 2, "m": 3}}\n'), "")
+
+
+@pytest.mark.parametrize("family, label", [
+    ("join:fanchord:6,3,1+fanchord:6,3,1", "v2"),
+    ("join:grid:2,2+grid:2,2", "01"),
+])
+def test_a_label_naming_several_vertices_is_exit_1(capsys, family, label):
+    code, out, err = run(capsys, "classify", "--family", family, "--set-labels", label)
+    assert (code, out) == (1, "")
+    payload = json.loads(err)
+    assert payload["error"] == "KeyError"
+    assert f"label {label!r} names 2 vertices" in payload["message"]
 
 
 def test_reduce_too_small(capsys, tmp_path):

@@ -97,6 +97,12 @@ def test_join_needs_two_factors():
     assert_every_route_checks("nosuch", (3,))
 
 
+def test_fields_the_family_does_not_read_are_refused():
+    factors = (parse_family("cycle:4"), parse_family("kmn:3,2"))
+    assert_every_route_checks("join", (7, 8), factors)
+    assert_every_route_checks("path", (3,), factors)
+
+
 def test_spec_is_an_immutable_value():
     spec = parse_family("join:cycle:4+kmn:3,2")
     assert spec == FamilySpec("join", factors=(FamilySpec("cycle", (4,)), FamilySpec("kmn", (3, 2))))

@@ -169,6 +169,16 @@ class TestOperators:
         assert g.labels[0 * 3 + 2] == "u0v2"
         assert g.index_of_label("u1v0") == 3
 
+    def test_a_label_naming_several_vertices_is_refused(self):
+        g = join(Graph(2, [(0, 1)], labels=["a", "b"]), Graph(2, [(0, 1)], labels=["a", "c"]))
+        assert (g.index_of_label("b"), g.index_of_label("c")) == (1, 3)
+        with pytest.raises(KeyError, match="label 'a' names 2 vertices"):
+            g.index_of_label("a")
+        with pytest.raises(KeyError, match="label 'a' names 2 vertices"):
+            g.set_of_labels(["b", "a"])
+        with pytest.raises(KeyError, match="no vertex labeled 'z'"):
+            g.index_of_label("z")
+
     def test_induced_k4_pair(self):
         sub, index_map = induced_subgraph(complete(4), VertexSet.of(4, [1, 3]))
         assert sub.edges() == [(0, 1)]

@@ -82,6 +82,14 @@ class TestBuild:
             expected = (red.path_len + 1) * red.source_m + red.source_n + 1
             assert red.gprime.n == expected
 
+    def test_a_gadget_label_repeating_a_source_label_is_refused(self):
+        red = build_reduction(Graph(3, [(0, 1), (1, 2)], labels=["x", "y", "e0.0"]),
+                              path_len=1)
+        assert red.gprime.index_of_label("y") == 1
+        for label in ("x", "e0.0"):
+            with pytest.raises(KeyError, match="names 2 vertices"):
+                red.gprime.index_of_label(label)
+
     def test_labels_and_roles_json(self):
         red = build_reduction(Graph(3, [(0, 1), (1, 2), (0, 2)]), path_len=2)
         assert_value_type(red, build_reduction(Graph(3, [(0, 1), (1, 2), (0, 2)]), path_len=2),

@@ -585,3 +585,11 @@ class TestPublishedClosedForms:
             for n in range(1, m + 1):
                 want = -(-(n + 1) // 4) if n % 8 == 4 else -(-n // 4)
                 assert gamma_p(grid(m, n)).value == want, (m, n)
+
+    def test_one_larger_instance_per_formula(self):
+        # past the ranges above, where each solve still takes under a second;
+        # alpha(grid:10,10) decides about 1.4e29 subsets, past the default budget
+        assert zero_forcing_number(grid(6, 6)).value == 6
+        assert zero_forcing_number(generate(parse_family("kmn:8,8"))).value == 14
+        assert max_independent_set(grid(10, 10), budget=10**30).value == 50
+        assert gamma_p(grid(11, 11)).value == 3  # 11 = 3 (mod 8): ceil(11/4)
