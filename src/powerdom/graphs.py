@@ -25,8 +25,8 @@ class VertexSet:
             raise ValueError("universe size must be nonnegative")
         if bits < 0 or bits >> n:
             raise ValueError(f"bitmask has members outside universe of size {n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "bits", bits)
+        _set_n(self, n)
+        _set_bits(self, bits)
 
     def __setattr__(self, *_):
         raise AttributeError("VertexSet is immutable")
@@ -108,6 +108,20 @@ class VertexSet:
 
     def __repr__(self) -> str:
         return f"VertexSet(n={self.n}, members={self.members()})"
+
+
+# the slot descriptors set the slots past the refusing `__setattr__`
+_set_n = VertexSet.n.__set__
+_set_bits = VertexSet.bits.__set__
+
+
+def _unchecked_vertex_set(n: int, bits: int) -> VertexSet:
+    """`VertexSet(n, bits)` without the range checks, for masks that are
+    subsets of {0, ..., n-1} by construction."""
+    vs = object.__new__(VertexSet)
+    _set_n(vs, n)
+    _set_bits(vs, bits)
+    return vs
 
 
 class Graph:

@@ -29,18 +29,19 @@ The solver scan and `classify`'s maximal-stalling loop keep the bitmask
 kernel: they grow each closure from one that is already a fixed point, and
 `fixpoint_from` re-checks only the neighborhood of the added vertices,
 where the index kernel would copy or rebuild its counters for every set
-tried, which a prototype of each measured slower.  `is_pds` stays
-`fixpoint_bits(N[s]) == V`: perfbench's traced runs time the
-propagation layer through `fixpoint_bits` calls and need an entry point
-that makes them.
+tried, which a prototype of each measured slower.  A failing augmentation
+N[s + v] usually stalls at once and a succeeding one runs the whole chain,
+so `classify` gives each one round first.  `is_pds` stays
+`fixpoint_bits(N[s]) == V` while perfbench's traced runs time the
+propagation layer through `fixpoint_bits` calls.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .graphs import (Graph, VertexSet, check_universe, closed_neighborhood,
-                     closed_neighborhood_bits)
+from .graphs import (Graph, VertexSet, _unchecked_vertex_set, check_universe,
+                     closed_neighborhood, closed_neighborhood_bits)
 
 POWER_DOMINATION = "power-domination"
 ZERO_FORCING = "zero-forcing"
@@ -239,7 +240,7 @@ def _trace(g: Graph, kind: str, s: VertexSet, dominate: bool) -> PropagationTrac
     """The chain in simultaneous rounds: every vertex that can force at the
     start of a round forces in it, as in `run_chain_bits`."""
     nbrs, mon, left, cand, cur = _start(g, s, dominate)
-    steps = [VertexSet(g.n, cur)]
+    steps = [cur]
     while True:
         new = []
         for u in cand:  # every vertex of `cand` is monitored
@@ -264,8 +265,10 @@ def _trace(g: Graph, kind: str, s: VertexSet, dominate: bool) -> PropagationTrac
                 if left[x] == 1 and mon[x] == 1:
                     more.append(x)
         cand = new + more
-        steps.append(VertexSet(g.n, cur))
-    return PropagationTrace(kind=kind, steps=tuple(steps), stabilized_at=len(steps) - 1)
+        steps.append(cur)
+    n = g.n
+    steps = tuple([_unchecked_vertex_set(n, bits) for bits in steps])
+    return PropagationTrace(kind=kind, steps=steps, stabilized_at=len(steps) - 1)
 
 
 def monitored_fixpoint(g: Graph, s: VertexSet) -> PropagationTrace:
@@ -284,9 +287,33 @@ def is_pds(g: Graph, s: VertexSet) -> bool:
     return fixpoint_bits(adj, start) == (1 << g.n) - 1
 
 
+def _stalls_at_once(adj: Sequence[int], closed: int, outside: int, full: int) -> bool:
+    """Whether, for some v in `outside`, `closed | N[v]` is a fixed point
+    other than `full`.  `closed` is a fixed point, so only the vertices of
+    N[N[v] - closed] can newly force."""
+    while outside:
+        low = outside & -outside
+        outside ^= low
+        add = (low | adj[low.bit_length() - 1]) & ~closed
+        cur = closed | add
+        if cur == full:
+            continue
+        cand = closed_neighborhood_bits(adj, add) & cur
+        unmonitored = ~cur
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            if (adj[low.bit_length() - 1] & unmonitored).bit_count() == 1:
+                break
+        else:
+            return True
+    return False
+
+
 def classify(g: Graph, s: VertexSet) -> Classification:
-    """Full verdict set for s, including the n - |s| extra propagations
-    needed to decide maximal stalling (only evaluated when s is stalled)."""
+    """Full verdict set for s.  A stalled s is maximally stalled unless some
+    N[s + v] stalls in its first round; only if none does are the n - |s|
+    closures run."""
     adj = g.adjacency_masks()
     full = (1 << g.n) - 1
     nbrs, mon, left, todo, step0 = _start(g, s, True)
@@ -296,15 +323,14 @@ def classify(g: Graph, s: VertexSet) -> Classification:
     properly = spds and monitored != full
     maximal = False
     if spds:
-        maximal = True
         rest = full & ~s.bits
-        while rest:
+        maximal = not _stalls_at_once(adj, monitored, rest, full)
+        while maximal and rest:
             low = rest & -rest
             rest ^= low
             # monitored == N[s] is a fixed point, so N[s + v] closes from it
             if fixpoint_from(adj, monitored, low | adj[low.bit_length() - 1]) != full:
                 maximal = False
-                break
     return Classification(
         is_pds=pds,
         is_fpds=not pds,

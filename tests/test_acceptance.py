@@ -19,6 +19,7 @@ from powerdom import (
     classify,
     cut_vertices,
     domination_number,
+    extract_independent_set,
     extremal_gamma_bar,
     failed_zero_forcing_number,
     gamma_bar_p,
@@ -29,6 +30,7 @@ from powerdom import (
     is_zero_family,
     build_reduction,
     lift_independent_set,
+    max_independent_set,
     monitored_fixpoint,
     oracle_gamma_bar,
     parse_family,
@@ -222,6 +224,17 @@ def test_criterion_6_reduction(capsys):
                         trace = monitored_fixpoint(red.gprime, lifted)
                         assert trace.stabilized_at == 0  # stalled
                         assert trace.fixed_point != full  # properly
+
+        # both directions on every connected 3-vertex source: gamma_bar_p of
+        # the faithful gadget is m_of(alpha), and the scan's witness restricts
+        # to an independent set of size alpha
+        for g in _connected_sources(3, max_edges=3):
+            red = build_reduction(g)
+            alpha = max_independent_set(g).value
+            result = gamma_bar_p(red.gprime)
+            assert result.value == red.m_of(alpha)
+            ext = extract_independent_set(red, result.witness)
+            assert ext.independent and len(ext.vertices) == alpha
 
 
 def test_criterion_7_extremal_characterization(capsys):

@@ -65,6 +65,16 @@ class TestVertexSet:
         with pytest.raises(ValueError):
             VertexSet.of(3, [3])
 
+    @pytest.mark.parametrize(
+        "n, bits",
+        [(3, 0b1000), (3, 1 << 70), (0, 1), (3, -1), (3, -8), (-1, 0), (-2, 1)],
+        ids=["just-above", "far-above", "empty-universe", "negative-bits",
+             "negative-above", "negative-n", "negative-n-and-bits"],
+    )
+    def test_constructor_refuses_bad_input(self, n, bits):
+        with pytest.raises(ValueError):
+            VertexSet(n, bits)
+
     def test_immutability(self):
         s = VertexSet.of(3, [1])
         with pytest.raises(AttributeError):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -16,6 +18,7 @@ from powerdom import (
     parse_family,
     zero_forcing_fixpoint,
 )
+from powerdom import propagation
 from powerdom.graphs import closed_neighborhood_bits
 from powerdom.propagation import fixpoint_from, run_chain_bits
 
@@ -102,6 +105,24 @@ class TestZeroForcingFixpoint:
             assert [frozenset(step) for step in got.steps] == want
 
 
+# n = 9 and S = {5}: stalled, and every N[S + v] forces in its first round,
+# yet N[{5, 0}] closes to {0, 1, 3, 4, 5, 6, 7}
+ONLY_A_CLOSURE_DECIDES = (9, [(0, 5), (0, 6), (0, 7), (1, 3), (1, 4), (1, 5),
+                              (2, 4), (3, 6), (4, 8)])
+
+
+def count_closures(monkeypatch) -> list:
+    """Record the arguments of every `fixpoint_from` call `classify` makes."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return fixpoint_from(*args)
+
+    monkeypatch.setattr(propagation, "fixpoint_from", counted)
+    return calls
+
+
 class TestClassify:
     def test_grid_fig2_verdict(self):
         verdict = classify(GRID, GRID.set_of_labels(FIG2_BLUE))
@@ -121,21 +142,44 @@ class TestClassify:
         assert verdict.is_pds
         assert not verdict.is_fpds
 
-    def test_maximally_stalled_definition(self):
+    def test_maximally_stalled_definition(self, monkeypatch):
+        # every S of each graph, against the oracle; a stalled S that is not
+        # maximally stalled is decided by the one-round pass when some
+        # augmentation stalls at once, and by a closure only when every one
+        # forces, as on the pinned n = 9 graph with S = {5}
+        closures = count_closures(monkeypatch)
         rng = random.Random(23)
-        for _ in range(25):
-            n, edges = oracles.random_graph(rng, rng.randint(2, 7))
+        graphs = [oracles.random_graph(rng, rng.randint(1, 8), rng.choice([0.2, 0.35, 0.5]))
+                  for _ in range(40)]
+        graphs.append(ONLY_A_CLOSURE_DECIDES)
+        kinds = set()
+        for n, edges in graphs:
             g = Graph(n, edges)
-            s = VertexSet.of(n, [v for v in range(n) if rng.random() < 0.4])
-            verdict = classify(g, s)
-            spds = len(oracles.pd_chain(n, edges, s.members())) == 1
-            assert verdict.is_spds == spds
-            expected_max = spds and all(
-                oracles.is_pds(n, edges, s.members() + [u])
-                for u in range(n)
-                if u not in s
-            )
-            assert verdict.maximally_stalled == expected_max
+            for bits in range(1 << n):
+                s = VertexSet(n, bits)
+                closures.clear()
+                verdict = classify(g, s)
+                spds = len(oracles.pd_chain(n, edges, s.members())) == 1
+                assert verdict.is_spds == spds
+                expected_max = spds and all(
+                    oracles.is_pds(n, edges, s.members() + [u])
+                    for u in range(n)
+                    if u not in s
+                )
+                assert verdict.maximally_stalled == expected_max
+                if spds:
+                    kinds.add("maximal" if expected_max else
+                              "closure" if closures else "one round")
+        assert kinds == {"one round", "closure", "maximal"}
+
+    def test_one_round_pass_decides_without_closures(self, monkeypatch):
+        # augmentations v = 0..25 of {8, 21} force along the ladder; v = 26
+        # stalls at once, so no closure runs
+        closures = count_closures(monkeypatch)
+        g = generate(parse_family("ladder:50"))
+        verdict = classify(g, VertexSet.of(g.n, [8, 21]))
+        assert verdict.is_spds and not verdict.maximally_stalled
+        assert closures == []
 
     def test_verdict_consistency(self):
         rng = random.Random(24)
@@ -407,6 +451,28 @@ def test_random_graphs_agree_with_bitmask_kernel(data):
 def test_vertex_set_from_another_universe(fn, s):
     with pytest.raises(ValueError, match="universe size"):
         fn(path(5), s)
+
+
+@pytest.mark.parametrize(
+    "copy_of",
+    [lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_trace_steps_are_plain_vertex_sets(copy_of):
+    # the traces build their steps without the constructor's range check
+    small, large = VertexSet.of(36, [0, 35]), GRID.full_set() - VertexSet.of(36, [14])
+    traces = [monitored_fixpoint(GRID, small), zero_forcing_fixpoint(GRID, small),
+              monitored_fixpoint(GRID, large),
+              zero_forcing_fixpoint(path(5), VertexSet.of(5, [0]))]
+    for trace in traces:
+        for step in trace.steps:
+            public = VertexSet.of(step.n, step.members())
+            assert type(step) is VertexSet and repr(step) == repr(public)
+            assert step == public and hash(step) == hash(public)
+            twin = copy_of(step)
+            assert type(twin) is VertexSet and twin == public and hash(twin) == hash(public)
+            with pytest.raises(AttributeError):
+                step.bits = 0
 
 
 def test_trace_json():

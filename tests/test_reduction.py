@@ -12,6 +12,7 @@ from powerdom import (
     build_reduction,
     classify,
     extract_independent_set,
+    gamma_bar_p,
     is_independent_set,
     lift_independent_set,
     max_independent_set,
@@ -185,6 +186,35 @@ class TestForwardDirection:
                     verdict = classify(red.gprime, lifted)
                     assert verdict.is_spds
                     assert verdict.properly_stalled
+
+
+class TestBothDirections:
+    """gamma_bar_p of the faithful gadget G' of each source G, against
+    `m_of(alpha(G))` = path_len * |E| + alpha(G), with the scan's witness
+    restricted back to G.  The equality is what these instances measure;
+    a non-faithful path length breaks it."""
+
+    @pytest.mark.parametrize(
+        "edges, value",
+        [([(0, 1), (1, 2)], 20), ([(0, 1), (1, 2), (0, 2)], 28),
+         ([(0, 1), (0, 2), (0, 3)], 51)],
+        ids=["P3", "K3", "K1,3"],
+    )
+    def test_gamma_bar_p_of_faithful_gadget(self, edges, value):
+        g = Graph(1 + max(v for e in edges for v in e), edges)
+        red = build_reduction(g)
+        alpha = max_independent_set(g).value
+        result = gamma_bar_p(red.gprime)
+        assert result.value == red.m_of(alpha) == value
+        ext = extract_independent_set(red, result.witness)
+        assert ext.independent and len(ext.vertices) == alpha
+
+    def test_non_faithful_path_length_breaks_the_equality(self):
+        g = Graph(3, [(0, 1), (1, 2)])
+        red = build_reduction(g, path_len=1)
+        assert not red.faithful
+        alpha = max_independent_set(g).value
+        assert (gamma_bar_p(red.gprime).value, red.m_of(alpha)) == (5, 4)
 
 
 def test_tiny_scale_equivalence():
