@@ -18,13 +18,12 @@ from typing import NamedTuple, Optional
 
 from .errors import DisconnectedInput, NotIndependent, TooSmall
 from .graphs import Graph, VertexSet, check_universe, is_connected
-from .solvers import _grow_dependent
 
 
 def is_independent_set(g: Graph, s: VertexSet) -> bool:
     check_universe(g, s)
-    # the solvers' dependence predicate: its state is None once s holds an edge
-    return _grow_dependent(g.adjacency_masks(), None, 0, s.bits, 0) is not None
+    adj = g.adjacency_masks()
+    return not any(adj[v] & s.bits for v in s)
 
 
 class ReductionOutput(NamedTuple):

@@ -195,23 +195,15 @@ def _scan_stratum(adj, full, k, grow, want, cap, least=()):
     return scan(0, 0, len(adj), k - 1, 0), calls
 
 
-def _least(bits, k):
-    """The k least members of the mask `bits`, which has at least k."""
-    top = k
-    while short := k - (bits & (1 << top) - 1).bit_count():
-        top += short
-    return bits & (1 << top) - 1
-
-
 def _colex_rank(bits):
     """The number of sets of the size of `bits` that come colex-before it."""
     members = [v for v in range(bits.bit_length()) if bits >> v & 1]
     return sum(comb(v, i) for i, v in enumerate(members, 1))
 
 
-def _fort_witness(adj, k, bound=None):
+def _fort_witness(adj, k):
     """The colex-first k-set that fails to force, as a mask, or None when
-    no k-set fails; `bound`, when given, is a k-set known to fail.
+    no k-set fails.
 
     The answer is the colex-least choice of the k least vertices outside F
     over the forts F of at most n - k vertices (see the module docstring).
@@ -225,11 +217,11 @@ def _fort_witness(adj, k, bound=None):
     high vertices in F keep low ones outside it.  The k least vertices
     outside F only rise, elementwise and so in colex order, as F grows, so
     a node whose k least outside vertices come no earlier than the best
-    candidate is cut, and the search stops once that is {0..k-1}.
+    candidate is cut.
     """
     n = len(adj)
     full, first = (1 << n) - 1, (1 << k) - 1
-    best = full + 1 if bound is None else bound
+    best = full + 1
     # (F, |F|, ones, twos, allowed, the k least vertices outside F): the
     # root's children F = {i}, allowed above i, the highest i on top
     stack = [(1 << i, 1, adj[i], 0, full ^ (2 << i) - 1,
@@ -241,8 +233,6 @@ def _fort_witness(adj, k, bound=None):
         bad = ones & ~twos & ~fort
         if not bad:
             best = outside
-            if best == first:
-                break
             continue
         if size == n - k:
             continue
@@ -285,12 +275,9 @@ def _solve(g: Graph, parameter: str, grow, want: bool, budget: int,
     With `forts` (failed zero forcing only), every stratum k >= 1 takes its
     colex-first failing set from `_fort_witness` instead of a scan, and
     counts the subsets its scan would decide: the rank of that set plus
-    one, or all comb(n, k) when none fails.  Its search starts from the k
-    least vertices of cl(W), where W is the stratum before's witness: a
-    vertex of cl(W) with one neighbor outside it would force that
-    neighbor, so V \\ cl(W) is a fort and those k vertices fail.  While W
-    is {0..k-2}, cl({0..k-1}) is grown from cl(W) first; if it is not V,
-    {0..k-1} is the hit and no search runs.
+    one, or all comb(n, k) when none fails.  While the stratum before's
+    witness W is {0..k-2}, cl({0..k-1}) is grown from cl(W) first; if it
+    is not V, {0..k-1} is the hit and no search runs.
     """
     if g.n < 1:
         raise ValueError("solvers require at least one vertex")
@@ -307,14 +294,11 @@ def _solve(g: Graph, parameter: str, grow, want: bool, budget: int,
     for k in range(n + 1):
         if forts and k:
             first = (1 << k) - 1
-            if witness.bits == first >> 1:
-                grown = fixpoint_from(adj, closed, 1 << k - 1)
-            else:
-                closed, grown = fixpoint_from(adj, 0, witness.bits), full
+            grown = fixpoint_from(adj, closed, 1 << k - 1) if witness.bits == first >> 1 else full
             if grown != full:
                 hit, closed = first, grown
             else:
-                hit = _fort_witness(adj, k, _least(closed, k) if closed.bit_count() >= k else None)
+                hit = _fort_witness(adj, k)
             spent = comb(n, k) if hit is None else _colex_rank(hit) + 1
         else:
             least = (*tops, tops[-1] + 1) if tops else ()

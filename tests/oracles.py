@@ -137,6 +137,52 @@ def brute_min_fort(n, edges):
     return None
 
 
+def min_fort_cost(n, edges, closed):
+    """The least |F|, or with `closed` the least |N[F]|, over the forts F of
+    a graph with n >= 1 vertices, by branch and bound.
+
+    A vertex outside F with exactly one neighbor in F must join F or see
+    another of its neighbors join.  A node branches on such a vertex with
+    the fewest options, and an option tried is barred from the branches
+    after it; the root's branch v puts v in F and bars every vertex below
+    it.  Both costs only grow with F, so a node costing no less than the
+    best fort found is cut.  V is a fort, so the answer is at most n."""
+    adj = adj_of(n, edges)
+    best = n
+
+    def cost(f):
+        return len(closed_nbhd(adj, f)) if closed else len(f)
+
+    def branch(f, barred):
+        nonlocal best
+        here = cost(f)
+        if here >= best:
+            return
+        violated = [u for u in closed_nbhd(adj, f) - f if len(adj[u] & f) == 1]
+        if not violated:
+            best = here
+            return
+        options = min((sorted(({u} | adj[u]) - f - barred) for u in violated), key=len)
+        for i, v in enumerate(options):
+            branch(f | {v}, barred | set(options[:i]))
+
+    for v in range(n):
+        branch({v}, set(range(v)))
+    return best
+
+
+def fort_gamma_bar_p(n, edges):
+    """gamma_bar_p = n - min |N[F]| over forts F: a set fails to power
+    dominate exactly when it misses N[F] for some fort F."""
+    return n - min_fort_cost(n, edges, closed=True)
+
+
+def fort_failed_zero_forcing(n, edges):
+    """F = n - min |F| over forts F: a set fails to force exactly when it
+    misses some fort (Fast & Hicks 2018)."""
+    return n - min_fort_cost(n, edges, closed=False)
+
+
 def colex_subsets(n, k):
     """The k-subsets of range(n) in colexicographic order."""
     return sorted(combinations(range(n), k), key=lambda s: s[::-1])

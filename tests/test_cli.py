@@ -256,6 +256,13 @@ def test_solver_subcommands(capsys, command, family, value):
     assert json.loads(out)["value"] == value
 
 
+def src_env():
+    """The environment with this checkout's `src` first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_import_leaves_out_dataclasses_and_inspect():
     # in a fresh interpreter, since pytest itself imports both; compared
     # with the modules loaded before, since `site` preloads some on a host
@@ -263,9 +270,17 @@ def test_import_leaves_out_dataclasses_and_inspect():
         "import sys; before = set(sys.modules); import powerdom.cli; "
         "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         env=env, check=True)
+                         env=src_env(), check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv, code, error", [
+    (["fzf", "--family", "path:18", "--budget", "0"], 2, "budget_exceeded"),
+    (["gammabar", "--family", "cycle:2"], 1, "DomainError"),
+])
+def test_exit_codes_of_a_real_process(argv, code, error):
+    # through `sys.exit(main())`, not main()'s return value
+    out = subprocess.run([sys.executable, "-m", "powerdom.cli", *argv], capture_output=True,
+                         text=True, env=src_env())
+    assert (out.returncode, out.stdout, json.loads(out.stderr)["error"]) == (code, "", error)

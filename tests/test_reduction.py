@@ -169,6 +169,27 @@ def test_is_independent_set_checks_the_universe():
             is_independent_set(g, s)
 
 
+@pytest.mark.parametrize("n, edges, members, independent", [
+    (0, [], [], True),
+    (3, [(0, 1), (1, 2)], [], True),
+    (4, [(0, 1), (1, 3), (2, 3)], [2, 3], False),
+    (4, [(0, 1), (1, 3), (2, 3)], [0, 3], True),
+], ids=["empty-graph", "empty-set", "last-vertex-and-neighbor", "last-vertex-alone"])
+def test_is_independent_set_edge_cases(n, edges, members, independent):
+    assert is_independent_set(Graph(n, edges), VertexSet.of(n, members)) is independent
+
+
+def test_is_independent_set_matches_the_edge_list():
+    rng = random.Random(53)
+    for _ in range(20):
+        n, edges = oracles.random_graph(rng, rng.randint(1, 7))
+        g = Graph(n, edges)
+        for k in range(n + 1):
+            for members in combinations(range(n), k):
+                expected = not any(u in members and v in members for u, v in edges)
+                assert is_independent_set(g, g.vertex_set(members)) is expected, (n, edges, members)
+
+
 class TestForwardDirection:
     def test_every_independent_set_lifts_to_spds(self):
         rng = random.Random(52)
@@ -191,8 +212,9 @@ class TestForwardDirection:
 class TestBothDirections:
     """gamma_bar_p of the faithful gadget G' of each source G, against
     `m_of(alpha(G))` = path_len * |E| + alpha(G), with the scan's witness
-    restricted back to G.  The equality is what these instances measure;
-    a non-faithful path length breaks it."""
+    restricted back to G, and against the branch and bound over forts in
+    `oracles` as a second route.  The equality is what these instances
+    measure; a non-faithful path length breaks it."""
 
     @pytest.mark.parametrize(
         "edges, value",
@@ -206,6 +228,7 @@ class TestBothDirections:
         alpha = max_independent_set(g).value
         result = gamma_bar_p(red.gprime)
         assert result.value == red.m_of(alpha) == value
+        assert oracles.fort_gamma_bar_p(red.gprime.n, red.gprime.edges()) == value
         ext = extract_independent_set(red, result.witness)
         assert ext.independent and len(ext.vertices) == alpha
 

@@ -376,21 +376,26 @@ def assert_budget_sweep(n, edges):
             assert budgeted_outcome(solve, g, budget) == expected, (solve.__name__, budget)
 
 
-@st.composite
-def min_degree_four_graphs(draw, max_n=10):
-    """Random graphs on 5..max_n vertices whose sparse vertices are joined
-    to their lowest-numbered non-neighbors until every degree is 4."""
-    n = draw(st.integers(5, max_n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    edges = {pair for pair, kept in zip(pairs, keep) if kept}
+def joined_to_degree_four(n, edges):
+    """`edges` on n >= 5 vertices, with each sparse vertex joined to its
+    lowest-numbered non-neighbors until every degree is 4."""
+    edges = set(edges)
     for u in range(n):
         for v in range(n):
             if sum(u in e for e in edges) >= 4:
                 break
             if v != u:
                 edges.add((min(u, v), max(u, v)))
-    return n, sorted(edges)
+    return sorted(edges)
+
+
+@st.composite
+def min_degree_four_graphs(draw, max_n=10):
+    """Random graphs on 5..max_n vertices, joined up to minimum degree 4."""
+    n = draw(st.integers(5, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return n, joined_to_degree_four(n, (pair for pair, kept in zip(pairs, keep) if kept))
 
 
 class TestFortRoute:
@@ -415,9 +420,6 @@ class TestFortRoute:
                            if not oracles.is_zfs(n, edges, s)]
                 first = failing[0] if failing else None
                 assert _fort_witness(masks, k) == first, (n, edges, k)
-                if failing:
-                    bound = rng.choice(failing)
-                    assert _fort_witness(masks, k, bound) == min(bound, first), (n, edges, k)
 
     @given(min_degree_four_graphs())
     @settings(max_examples=60, deadline=None)
@@ -445,7 +447,7 @@ class TestFortRoute:
             assert budgeted_outcome(failed_zero_forcing_number, g, budget) == expected, budget
 
     def test_route_needs_minimum_degree_four(self, monkeypatch):
-        def refuse(adj, k, bound=None):
+        def refuse(adj, k):
             raise AssertionError("fort search")
 
         monkeypatch.setattr(solvers, "_fort_witness", refuse)
@@ -465,15 +467,34 @@ class TestFortRoute:
         # closure of {0..k-2}; the fort search runs from the first other one
         seen = []
 
-        def search(adj, k, bound=None):
+        def search(adj, k):
             seen.append(k)
-            return _fort_witness(adj, k, bound)
+            return _fort_witness(adj, k)
 
         monkeypatch.setattr(solvers, "_fort_witness", search)
         res = failed_zero_forcing_number(generate(parse_family(spec)))
         assert seen == searched
         assert (res.value, res.witness.members(), res.propagation_calls) \
             == (value, witness, calls)
+
+    def test_search_never_returns_the_first_set(self, monkeypatch):
+        # {0..k-1} can fail only when {0..k-2} was the witness before it,
+        # and then the closure grown first has already decided it, so no
+        # search needs to stop early on finding it
+        returned = []
+
+        def search(adj, k):
+            hit = _fort_witness(adj, k)
+            returned.append((k, hit))
+            return hit
+
+        monkeypatch.setattr(solvers, "_fort_witness", search)
+        rng = random.Random(55)
+        for _ in range(60):
+            n, edges = oracles.random_graph(rng, rng.randint(5, 12), rng.choice([0.2, 0.4, 0.6]))
+            failed_zero_forcing_number(Graph(n, joined_to_degree_four(n, edges)))
+        assert len(returned) > 60
+        assert [(k, hit) for k, hit in returned if hit == (1 << k) - 1] == []
 
     def test_route_scans_only_the_empty_stratum(self, monkeypatch):
         scanned = []
@@ -487,18 +508,38 @@ class TestFortRoute:
         assert (res.value, scanned) == (14, [0])
 
 
+class TestFortOracle:
+    """The branch and bound over forts in `oracles`, which shares no code
+    with the solvers, against the brute-force oracles.  Past their reach
+    it is the second route for the gamma_bar_p and F pins below and for
+    the gadget values of `test_reduction.TestBothDirections`."""
+
+    def test_matches_the_brute_force_oracles(self):
+        rng = random.Random(54)
+        disconnected = 0
+        for _ in range(60):
+            n, edges = oracles.random_graph(rng, rng.randint(1, 10),
+                                            rng.choice([0.1, 0.3, 0.5, 0.8]))
+            disconnected += not oracles.is_connected(n, edges)
+            assert oracles.fort_gamma_bar_p(n, edges) == oracles.brute_gamma_bar(n, edges), \
+                (n, edges)
+            assert oracles.fort_failed_zero_forcing(n, edges) \
+                == oracles.brute_failed_zero_forcing(n, edges), (n, edges)
+        assert disconnected >= 10
+
+
 class TestExactRegressions:
     def test_gamma_bar_p_grid_5x5(self):
         g = generate(parse_family("grid:5,5"))
         res = gamma_bar_p(g)
-        assert res.value == 12
+        assert res.value == oracles.fort_gamma_bar_p(g.n, g.edges()) == 12
         assert len(res.witness) == 12
         assert not oracles.is_pds(g.n, g.edges(), res.witness.members())
 
     def test_gamma_bar_p_grid_6x6(self):
         g = generate(parse_family("grid:6,6"))
         res = gamma_bar_p(g, budget=10**12)
-        assert res.value == len(res.witness) == 20
+        assert res.value == len(res.witness) == oracles.fort_gamma_bar_p(g.n, g.edges()) == 20
         assert not oracles.is_pds(g.n, g.edges(), res.witness.members())
 
     def test_failed_grid_10x10(self):
@@ -517,8 +558,10 @@ class TestExactRegressions:
         g = generate(parse_family("kxp:4,5"))
         res = failed_zero_forcing_number(g)
         assert (res.value, res.propagation_calls, res.witness.bits) == (14, 19742, 338943)
+        assert oracles.fort_failed_zero_forcing(g.n, g.edges()) == 14
         res = gamma_bar_p(g)
         assert (res.value, res.propagation_calls, res.witness.bits) == (4, 15632, 330)
+        assert oracles.fort_gamma_bar_p(g.n, g.edges()) == 4
 
     def test_failed_zero_forcing_kxp_5_6(self):
         # the fort search finds every witness; the certifying stratum 23
@@ -541,7 +584,7 @@ class TestExactRegressions:
     def test_failed_zero_forcing_grid_6x6(self):
         g = generate(parse_family("grid:6,6"))
         res = failed_zero_forcing_number(g)
-        assert res.value == 30
+        assert res.value == oracles.fort_failed_zero_forcing(g.n, g.edges()) == 30
         assert not oracles.is_zfs(g.n, g.edges(), res.witness.members())
 
 
