@@ -44,21 +44,9 @@ def _add_set_args(parser: argparse.ArgumentParser) -> None:
     grp.add_argument("--set-labels", help="comma-separated vertex labels")
 
 
-def _add_solver_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--budget", type=int, default=solvers.DEFAULT_BUDGET,
-                        help="cap on subsets decided; a subtree settled or skipped "
-                             "at once counts every subset in it")
-
-
-def _add_format_args(parser: argparse.ArgumentParser) -> None:
-    fmt = parser.add_mutually_exclusive_group()
-    fmt.add_argument("--json", dest="json_out", action="store_true", default=True)
-    fmt.add_argument("--plain", dest="json_out", action="store_false")
-
-
 def _load_graph(args) -> graphs.Graph:
     if args.file is not None:
-        with open(args.file, "r", encoding="utf-8") as fh:
+        with open(args.file, "r", encoding="utf-8-sig") as fh:
             return graphs.from_edge_list(fh.read())
     return families.generate(families.parse_family(args.family))
 
@@ -71,38 +59,27 @@ def _parse_set(args, g: graphs.Graph) -> graphs.VertexSet:
     return g.set_of_labels(labels)
 
 
-def _emit(payload: dict, plain_lines: list[str], json_out: bool) -> None:
-    if json_out:
-        print(json.dumps(payload))
-    else:
-        for line in plain_lines:
-            print(line)
+# Each handler returns its JSON payload and its --plain lines; `main` prints one.
 
-
-def _solver_command(args, solve) -> int:
+def _solver_command(args):
     g = _load_graph(args)
-    result = solve(g, budget=args.budget)
+    result = args.solve(g, budget=args.budget)
     payload = result.to_json_dict()
-    plain = [
+    return payload, [
         f"{result.parameter} = {result.value}",
-        f"witness: {result.witness.members() if result.witness is not None else None}",
+        f"witness: {payload['witness']}",
         f"calls: {result.propagation_calls}",
     ]
-    _emit(payload, plain, args.json_out)
-    return 0
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args):
     g = _load_graph(args)
     s = _parse_set(args, g)
-    verdict = propagation.classify(g, s)
-    payload = verdict.to_json_dict()
-    plain = [f"{key}: {value}" for key, value in payload.items()]
-    _emit(payload, plain, args.json_out)
-    return 0
+    payload = propagation.classify(g, s).to_json_dict()
+    return payload, [f"{key}: {value}" for key, value in payload.items()]
 
 
-def _cmd_trace(args) -> int:
+def _cmd_trace(args):
     g = _load_graph(args)
     s = _parse_set(args, g)
     if args.zero_forcing:
@@ -110,46 +87,38 @@ def _cmd_trace(args) -> int:
     else:
         trace = propagation.monitored_fixpoint(g, s)
     payload = trace.to_json_dict()
-    plain = [f"kind: {trace.kind}", f"stabilized_at: {trace.stabilized_at}"]
-    plain += [f"step {i}: {s.members()}" for i, s in enumerate(trace.steps)]
-    _emit(payload, plain, args.json_out)
-    return 0
+    return payload, [f"kind: {trace.kind}", f"stabilized_at: {trace.stabilized_at}",
+                     *(f"step {i}: {step}" for i, step in enumerate(payload["steps"]))]
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args):
     g = families.generate(families.parse_family(args.family))
-    _emit(g.to_json_dict(), graphs.to_edge_list_text(g).splitlines(), args.json_out)
-    return 0
+    return g.to_json_dict(), graphs.to_edge_list_text(g).splitlines()
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args):
     spec = families.parse_family(args.family)
     value = families.oracle_gamma_bar(spec)
-    _emit({"family": spec.describe(), "parameter": "gamma_bar_p", "value": value},
-          [f"gamma_bar_p({spec.describe()}) = {value}"], args.json_out)
-    return 0
+    return ({"family": spec.describe(), "parameter": "gamma_bar_p", "value": value},
+            [f"gamma_bar_p({spec.describe()}) = {value}"])
 
 
-def _cmd_reduce(args) -> int:
+def _cmd_reduce(args):
     g = _load_graph(args)
     red = reduction.build_reduction(g, path_len=args.path_len)
     roles = red.roles_json_dict()
     if args.k is not None:
         roles["m"] = red.m_of(args.k)
-    if args.out is not None:
-        with open(args.out + ".el", "w", encoding="utf-8") as fh:
-            fh.write(graphs.to_edge_list_text(red.gprime))
-        with open(args.out + ".json", "w", encoding="utf-8") as fh:
-            json.dump(roles, fh, indent=2)
-            fh.write("\n")
-        _emit({"written": [args.out + ".el", args.out + ".json"],
-               "gprime_n": red.gprime.n},
-              [f"wrote {args.out}.el and {args.out}.json ({red.gprime.n} vertices)"],
-              args.json_out)
-    else:
-        _emit({"gprime": red.gprime.to_json_dict(), "roles": roles},
-              graphs.to_edge_list_text(red.gprime).splitlines(), args.json_out)
-    return 0
+    if args.out is None:
+        return ({"gprime": red.gprime.to_json_dict(), "roles": roles},
+                graphs.to_edge_list_text(red.gprime).splitlines())
+    with open(args.out + ".el", "w", encoding="utf-8") as fh:
+        fh.write(graphs.to_edge_list_text(red.gprime))
+    with open(args.out + ".json", "w", encoding="utf-8") as fh:
+        json.dump(roles, fh, indent=2)
+        fh.write("\n")
+    return ({"written": [args.out + ".el", args.out + ".json"], "gprime_n": red.gprime.n},
+            [f"wrote {args.out}.el and {args.out}.json ({red.gprime.n} vertices)"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -158,6 +127,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Power-domination propagation, classification, and exact solvers",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, help_text, handler, graph_source=True, **defaults):
+        p = sub.add_parser(name, help=help_text)
+        if graph_source:
+            _add_graph_source(p)
+        p.set_defaults(handler=handler, **defaults)
+        return p
 
     solver_specs = [
         ("gammap", solvers.gamma_p, "power domination number"),
@@ -168,54 +144,48 @@ def build_parser() -> argparse.ArgumentParser:
         ("alpha", solvers.max_independent_set, "independence number"),
     ]
     for name, solve, help_text in solver_specs:
-        p = sub.add_parser(name, help=help_text)
-        _add_graph_source(p)
-        _add_solver_args(p)
-        _add_format_args(p)
-        p.set_defaults(handler=lambda args, solve=solve: _solver_command(args, solve))
+        p = command(name, help_text, _solver_command, solve=solve)
+        p.add_argument("--budget", type=int, default=solvers.DEFAULT_BUDGET,
+                       help="cap on subsets decided; a subtree settled or skipped "
+                            "at once counts every subset in it")
 
-    p = sub.add_parser("classify", help="classify a vertex set")
-    _add_graph_source(p)
-    _add_set_args(p)
-    _add_format_args(p)
-    p.set_defaults(handler=_cmd_classify)
+    _add_set_args(command("classify", "classify a vertex set", _cmd_classify))
 
-    p = sub.add_parser("trace", help="print the full propagation chain")
-    _add_graph_source(p)
+    p = command("trace", "print the full propagation chain", _cmd_trace)
     _add_set_args(p)
     p.add_argument("--zero-forcing", action="store_true",
                    help="trace the zero-forcing chain instead")
-    _add_format_args(p)
-    p.set_defaults(handler=_cmd_trace)
 
-    p = sub.add_parser("generate", help="emit a family graph")
-    p.add_argument("--family", required=True)
-    _add_format_args(p)
-    p.set_defaults(handler=_cmd_generate)
+    command("generate", "emit a family graph", _cmd_generate,
+            graph_source=False).add_argument("--family", required=True)
+    command("oracle", "closed-form failed power domination value", _cmd_oracle,
+            graph_source=False).add_argument("--family", required=True)
 
-    p = sub.add_parser("oracle", help="closed-form failed power domination value")
-    p.add_argument("--family", required=True)
-    _add_format_args(p)
-    p.set_defaults(handler=_cmd_oracle)
-
-    p = sub.add_parser("reduce", help="build the independent-set reduction gadget")
-    _add_graph_source(p)
+    p = command("reduce", "build the independent-set reduction gadget", _cmd_reduce)
     p.add_argument("--path-len", type=int, default=None,
                    help="pendant path length override (non-faithful)")
     p.add_argument("--k", type=int, default=None,
                    help="independent-set target, reported as m = path_len*|E| + k")
     p.add_argument("--out", default=None,
                    help="write BASE.el and BASE.json instead of stdout")
-    _add_format_args(p)
-    p.set_defaults(handler=_cmd_reduce)
 
+    # after each command's own arguments, where its --help lists them
+    for p in sub.choices.values():
+        fmt = p.add_mutually_exclusive_group()
+        fmt.add_argument("--json", dest="json_out", action="store_true", default=True)
+        fmt.add_argument("--plain", dest="json_out", action="store_false")
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.handler(args)
+        payload, plain_lines = args.handler(args)
+        if args.json_out:
+            print(json.dumps(payload))
+        else:
+            print(*plain_lines, sep="\n")
+        return 0
     except BudgetExceeded as exc:
         payload = {"error": "budget_exceeded", "calls": exc.calls, "budget": exc.budget}
         if exc.lower_bound is not None:

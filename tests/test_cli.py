@@ -32,9 +32,13 @@ def test_classify_grid_labels(capsys):
 
 
 def test_classify_indices(capsys):
-    code, out, _ = run(capsys, "classify", "--family", "path:3", "--set", "1")
-    assert code == 0
-    assert json.loads(out)["is_pds"] is True
+    argv = ("classify", "--family", "path:3", "--set", "1")
+    assert run(capsys, *argv) == (0, (
+        '{"is_pds": true, "is_fpds": false, "is_spds": true, "properly_stalled": false, '
+        '"maximally_stalled": true, "monitored": [0, 1, 2]}\n'), "")
+    assert run(capsys, *argv, "--plain") == (0, (
+        "is_pds: True\nis_fpds: False\nis_spds: True\nproperly_stalled: False\n"
+        "maximally_stalled: True\nmonitored: [0, 1, 2]\n"), "")
 
 
 def test_missing_file_is_exit_1(capsys):
@@ -125,21 +129,21 @@ def test_help_is_exit_0(capsys):
 
 
 def test_trace_output(capsys):
-    code, out, _ = run(capsys, "trace", "--family", "path:5", "--set", "0")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["kind"] == "power-domination"
-    assert payload["steps"][-1] == [0, 1, 2, 3, 4]
+    argv = ("trace", "--family", "path:5", "--set", "0")
+    assert run(capsys, *argv) == (0, (
+        '{"kind": "power-domination", "steps": [[0, 1], [0, 1, 2], [0, 1, 2, 3], '
+        '[0, 1, 2, 3, 4]], "stabilized_at": 3}\n'), "")
+    assert run(capsys, *argv, "--plain") == (0, (
+        "kind: power-domination\nstabilized_at: 3\nstep 0: [0, 1]\nstep 1: [0, 1, 2]\n"
+        "step 2: [0, 1, 2, 3]\nstep 3: [0, 1, 2, 3, 4]\n"), "")
 
 
 def test_trace_zero_forcing(capsys):
-    code, out, _ = run(
-        capsys, "trace", "--family", "complete:3", "--set", "0", "--zero-forcing"
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["kind"] == "zero-forcing"
-    assert payload["steps"] == [[0]]
+    argv = ("trace", "--family", "complete:3", "--set", "0", "--zero-forcing")
+    assert run(capsys, *argv) == (
+        0, '{"kind": "zero-forcing", "steps": [[0]], "stabilized_at": 0}\n', "")
+    assert run(capsys, *argv, "--plain") == (
+        0, "kind: zero-forcing\nstabilized_at: 0\nstep 0: [0]\n", "")
 
 
 def test_generate_json_and_plain(capsys):
@@ -152,9 +156,10 @@ def test_generate_json_and_plain(capsys):
 
 
 def test_oracle(capsys):
-    code, out, _ = run(capsys, "oracle", "--family", "ladder:9")
-    assert code == 0
-    assert json.loads(out)["value"] == 2
+    assert run(capsys, "oracle", "--family", "ladder:9") == (
+        0, '{"family": "ladder:9", "parameter": "gamma_bar_p", "value": 2}\n', "")
+    assert run(capsys, "oracle", "--family", "ladder:9", "--plain") == (
+        0, "gamma_bar_p(ladder:9) = 2\n", "")
     code, _, err = run(capsys, "oracle", "--family", "ladder:3")
     assert code == 1
     assert json.loads(err)["error"] == "NoFormula"
@@ -166,6 +171,18 @@ def test_edge_list_file_input(capsys, tmp_path):
     code, out, _ = run(capsys, "alpha", "--file", str(el))
     assert code == 0
     assert json.loads(out)["value"] == 2
+
+
+@pytest.mark.parametrize("text", ["3\n0 1\n1 2\n", "0 1\n1 2\n"],
+                         ids=["with-count", "without-count"])
+def test_edge_list_file_with_a_byte_order_mark(capsys, tmp_path, text):
+    plain, marked = tmp_path / "plain.el", tmp_path / "marked.el"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    expected = run(capsys, "gammabar", "--file", str(plain))
+    assert expected[0] == 0
+    assert run(capsys, "gammabar", "--file", str(marked)) == expected
 
 
 def test_reduce_stdout(capsys, tmp_path):
@@ -200,6 +217,22 @@ def test_reduce_stdout_bytes(capsys):
         '"roles": {"source_n": 3, "source_m": 2, "path_len": 1, "faithful": false, '
         '"original": [0, 1, 2], "subdivision": {"0": 3, "1": 4}, "paths": {"0": [5], '
         '"1": [6]}, "hub": 7, "m_base": 2, "m": 3}}\n'), "")
+
+
+def test_reduce_out_bytes(capsys, tmp_path):
+    base = str(tmp_path / "gadget")
+    argv = ("reduce", "--family", "path:3", "--path-len", "1", "--k", "1", "--out", base)
+    assert run(capsys, *argv) == (
+        0, f'{{"written": ["{base}.el", "{base}.json"], "gprime_n": 8}}\n', "")
+    assert (tmp_path / "gadget.el").read_text() == "8\n0 3\n1 3\n1 4\n2 4\n3 5\n3 7\n4 6\n4 7\n"
+    assert (tmp_path / "gadget.json").read_text() == (
+        '{\n  "source_n": 3,\n  "source_m": 2,\n  "path_len": 1,\n  "faithful": false,\n'
+        '  "original": [\n    0,\n    1,\n    2\n  ],\n'
+        '  "subdivision": {\n    "0": 3,\n    "1": 4\n  },\n'
+        '  "paths": {\n    "0": [\n      5\n    ],\n    "1": [\n      6\n    ]\n  },\n'
+        '  "hub": 7,\n  "m_base": 2,\n  "m": 3\n}\n')
+    assert run(capsys, *argv, "--plain") == (
+        0, f"wrote {base}.el and {base}.json (8 vertices)\n", "")
 
 
 @pytest.mark.parametrize("family, label", [
@@ -240,10 +273,22 @@ def test_byte_stable_output(capsys):
     assert len(outputs) == 1
 
 
+# parameter name, witness and subsets decided of each case below
+SOLVED = {
+    "gammap": ("gamma_p", [0], 2),
+    "gammabar": ("gamma_bar_p", [0, 1, 2], 39),
+    "zf": ("zero_forcing_number", [0, 1], 8),
+    "fzf": ("failed_zero_forcing_number", [0, 2], 8),
+    "dom": ("domination_number", [0, 2, 5], 41),
+    "alpha": ("max_independent_set", [0, 2], 14),
+}
+
+
 @pytest.mark.parametrize(
     "command, family, value",
     [
         ("gammap", "path:6", 1),
+        ("gammabar", "kmn:5,2", 3),
         ("zf", "cycle:6", 2),
         ("fzf", "cycle:4", 2),
         ("dom", "path:7", 3),
@@ -251,9 +296,12 @@ def test_byte_stable_output(capsys):
     ],
 )
 def test_solver_subcommands(capsys, command, family, value):
-    code, out, _ = run(capsys, command, "--family", family)
-    assert code == 0
-    assert json.loads(out)["value"] == value
+    parameter, witness, calls = SOLVED[command]
+    assert run(capsys, command, "--family", family) == (0, (
+        f'{{"parameter": "{parameter}", "value": {value}, "witness": {witness}, '
+        f'"calls": {calls}}}\n'), "")
+    assert run(capsys, command, "--family", family, "--plain") == (
+        0, f"{parameter} = {value}\nwitness: {witness}\ncalls: {calls}\n", "")
 
 
 def src_env():
@@ -263,16 +311,27 @@ def src_env():
         filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-def test_import_leaves_out_dataclasses_and_inspect():
-    # in a fresh interpreter, since pytest itself imports both; compared
-    # with the modules loaded before, since `site` preloads some on a host
+def newly_imported(module, names):
+    """Which of `names` importing `module` loads, in a fresh interpreter,
+    since pytest itself imports them; compared with the modules loaded
+    before, since `site` preloads some on a host."""
     probe = (
-        "import sys; before = set(sys.modules); import powerdom.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+        f"import sys; before = set(sys.modules); import {module}; "
+        f"print(sorted({set(names)!r} & (set(sys.modules) - before)))"
     )
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=src_env(), check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_leaves_out_dataclasses_and_inspect():
+    assert newly_imported("powerdom.cli", ["dataclasses", "inspect"]) == "[]"
+
+
+def test_library_import_leaves_out_argparse_and_json():
+    # the benchmark's set-up imports `powerdom`; serialization and the
+    # command line stay out of it
+    assert newly_imported("powerdom", ["argparse", "json"]) == "[]"
 
 
 @pytest.mark.parametrize("argv, code, error", [
