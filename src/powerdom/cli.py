@@ -193,7 +193,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(json.dumps(payload), file=sys.stderr)
         return 2
     except _USER_ERRORS as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
+        # str() of a KeyError is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) else str(exc)
+        print(json.dumps({"error": type(exc).__name__, "message": message}),
               file=sys.stderr)
         return 1
 

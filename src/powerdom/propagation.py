@@ -17,8 +17,10 @@ and, per vertex, a count of its unmonitored neighbors, so each edge is
 touched a bounded number of times.  The traces and `classify`'s first
 closure use it.  Its set-up walks the smaller side of step 0: the
 monitored vertices when s has at most n/2 members, the unmonitored ones
-otherwise.  The members' side first copies all n degree counts, about
-4.7 us on the n = 994 gadget, so its set-up is not sublinear in n.
+otherwise, so the near-complete lifted sets of the reduction gadget set
+up in the time of a small set.  The members' side first copies all n
+degree counts, about 4.7 us on the n = 994 gadget, so its set-up is not
+sublinear in n.
 
 The traces keep simultaneous rounds: every vertex that can force at the
 start of a round forces in it, so their steps are those of

@@ -40,7 +40,7 @@ up to a factor of 28 on wheel:30, though it won on kxp:3,5 and kxp:3,6.
 from __future__ import annotations
 
 from math import comb
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple
 
 from .errors import BudgetExceeded
 from .graphs import Graph, VertexSet, closed_neighborhood_bits
@@ -52,14 +52,14 @@ DEFAULT_BUDGET = 10**8
 class SolverResult(NamedTuple):
     parameter: str
     value: int
-    witness: Optional[VertexSet]
+    witness: VertexSet
     propagation_calls: int
 
     def to_json_dict(self) -> dict:
         return {
             "parameter": self.parameter,
             "value": self.value,
-            "witness": None if self.witness is None else self.witness.members(),
+            "witness": self.witness.members(),
             "calls": self.propagation_calls,
         }
 
@@ -119,27 +119,29 @@ def _grow_dependent(adj, full, neighbors, bits, dead):
 
 def _scan_stratum(adj, full, k, grow, want, cap, least=()):
     """Colex-first k-subset mask whose predicate value is `want` (or None),
-    and the number of subsets decided to find it.
+    and the number of subsets decided to find it, for k >= 1; a scan that
+    would decide more than `cap` subsets stops and returns (None, cap + 1).
 
     The scan is depth first, largest element first, and each child's state
-    grows from its prefix's.  A prefix that satisfies the predicate decides
-    its whole subtree at once: its first completion is the hit when a
-    satisfying set is wanted (one subset decided), and otherwise the subtree
-    is skipped (every subset in it decided).  Such a child v is dead in the
-    rest of the scan below this node: every set that holds v and extends
-    the node's prefix satisfies the predicate too, so a dead child is
-    settled with no closure, and a zero-forcing closure stops once it
-    monitors a dead vertex.  A child with a single completion (v equal to
-    the number r of elements still to place below it, or r = 0) is decided
-    by one closure over that whole completion.  `least[r]`, when given, is
-    a lower bound on the element with r elements below it in every failing
-    set; children below it are skipped in one step, as satisfying sets that
-    come colex-before the rest.  A single-completion child v == r is
-    reached only when `least[r] == r`, and then `least[j] == j` for every
-    j < r (the colex-first failing sets are {0..j}), so no element of its
-    completion sits below its bound.  Counts, hits and the `cap + 1`
-    reported on exhaustion are those of a scan that decides one subset at
-    a time.
+    grows from its prefix's.  With `want`, as in the ascent, every smaller
+    set fails, so no prefix above the leaves satisfies the predicate.
+    Without it, a prefix that does is skipped with its whole subtree (every
+    subset in it decided), and such a child v is dead in the rest of the
+    scan below this node: every set that holds v and extends the node's
+    prefix satisfies the predicate too, so a dead child is settled with no
+    closure, and a zero-forcing closure stops once it monitors a dead
+    vertex.  A child with a single completion (v equal to the number r of
+    elements still to place below it, or r = 0) is decided by one closure
+    over that whole completion; above the leaves that is {0..r}, and it
+    holds no dead vertex, as v == r is the first child of its node and those
+    of the nodes above are all above r.  `least[r]`, when given, is a lower
+    bound on the element with r elements below it in every failing set;
+    children below it are skipped in one step, as satisfying sets that come
+    colex-before the rest.  A single-completion child v == r is reached only
+    when `least[r] == r`, and then `least[j] == j` for every j < r (the
+    colex-first failing sets are {0..j}), so no element of its completion
+    sits below its bound.  Counts and hits are those of a scan that decides
+    one subset at a time.
     """
     calls = 0
 
@@ -171,15 +173,11 @@ def _scan_stratum(adj, full, k, grow, want, cap, least=()):
                 # one completion, prefix + {0..r}
                 bits = (bit << 1) - 1
                 spend(1)
-                done = bits & dead != 0 or grow(adj, full, state, bits, dead) is None
-                if done == want:
+                if (grow(adj, full, state, bits, dead) is None) == want:
                     return prefix | bits
                 continue
             child = None if bit & dead else grow(adj, full, state, bit, dead)
             if child is None:
-                if want:
-                    spend(1)
-                    return prefix | bit | (1 << r) - 1
                 spend(comb(v, r))
                 dead |= bit
             else:
@@ -188,11 +186,10 @@ def _scan_stratum(adj, full, k, grow, want, cap, least=()):
                     return hit
         return None
 
-    if k == 0:
-        # the empty set of a nonempty graph satisfies none of the predicates
-        spend(1)
-        return (None if want else 0), calls
-    return scan(0, 0, len(adj), k - 1, 0), calls
+    try:
+        return scan(0, 0, len(adj), k - 1, 0), calls
+    except BudgetExceeded:
+        return None, cap + 1
 
 
 def _colex_rank(bits):
@@ -225,7 +222,7 @@ def _fort_witness(adj, k):
     # (F, |F|, ones, twos, allowed, the k least vertices outside F): the
     # root's children F = {i}, allowed above i, the highest i on top
     stack = [(1 << i, 1, adj[i], 0, full ^ (2 << i) - 1,
-              first if i >= k else first ^ 1 << i | 1 << k) for i in range(n)] if k < n else []
+              first if i >= k else first ^ 1 << i | 1 << k) for i in range(n)]
     while stack:
         fort, size, ones, twos, allowed, outside = stack.pop()
         if outside >= best:
@@ -270,29 +267,28 @@ def _solve(g: Graph, parameter: str, grow, want: bool, budget: int,
     k-subset satisfying the predicate, that set the witness; otherwise
     k - 1 at the first k with no failing k-subset, the colex-first failing
     set of the stratum before the witness, and on running out of budget
-    that set and its size are what was proven.
+    that set and its size are what was proven.  Stratum 0 is decided with
+    no scan, as the empty set satisfies no predicate on a nonempty graph.
 
-    With `forts` (failed zero forcing only), every stratum k >= 1 takes its
-    colex-first failing set from `_fort_witness` instead of a scan, and
-    counts the subsets its scan would decide: the rank of that set plus
-    one, or all comb(n, k) when none fails.  While the stratum before's
-    witness W is {0..k-2}, cl({0..k-1}) is grown from cl(W) first; if it
-    is not V, {0..k-1} is the hit and no search runs.
+    With `forts` (failed zero forcing only), every other stratum takes the
+    fort route of the module docstring, with the counts of a scan.
     """
     if g.n < 1:
         raise ValueError("solvers require at least one vertex")
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
+    if budget < 1:
+        raise BudgetExceeded(budget + 1, budget)
     n = g.n
     adj, full = g.adjacency_masks(), (1 << n) - 1
-    calls, witness = 0, None
+    calls, witness = 1, VertexSet(n, 0)
     # failing sets only: tops[j - 1] is the largest element of the
     # colex-first failing j-set.  The j least elements of a failing k-set
     # fail too, so come no earlier in colex order and end at or above it.
     tops = []
     closed = 0  # on the fort route, cl(witness) while that is {0..k-2}
-    for k in range(n + 1):
-        if forts and k:
+    for k in range(1, n + 1):
+        if forts:
             first = (1 << k) - 1
             grown = fixpoint_from(adj, closed, 1 << k - 1) if witness.bits == first >> 1 else full
             if grown != full:
@@ -302,12 +298,9 @@ def _solve(g: Graph, parameter: str, grow, want: bool, budget: int,
             spent = comb(n, k) if hit is None else _colex_rank(hit) + 1
         else:
             least = (*tops, tops[-1] + 1) if tops else ()
-            try:
-                hit, spent = _scan_stratum(adj, full, k, grow, want, budget - calls, least)
-            except BudgetExceeded:
-                spent = budget - calls + 1  # more than is left
+            hit, spent = _scan_stratum(adj, full, k, grow, want, budget - calls, least)
         if spent > budget - calls:
-            proven = () if witness is None else (len(witness), witness.members())
+            proven = () if want else (len(witness), witness.members())
             raise BudgetExceeded(budget + 1, budget, *proven)
         calls += spent
         if want:
@@ -317,8 +310,7 @@ def _solve(g: Graph, parameter: str, grow, want: bool, budget: int,
             return SolverResult(parameter, k - 1, witness, calls)
         else:
             witness = VertexSet(n, hit)
-            if k:
-                tops.append(hit.bit_length() - 1)
+            tops.append(hit.bit_length() - 1)
     # the full vertex set fails too: an edgeless graph is not dependent
     return SolverResult(parameter, n, witness, calls)
 

@@ -242,9 +242,21 @@ def test_reduce_out_bytes(capsys, tmp_path):
 def test_a_label_naming_several_vertices_is_exit_1(capsys, family, label):
     code, out, err = run(capsys, "classify", "--family", family, "--set-labels", label)
     assert (code, out) == (1, "")
-    payload = json.loads(err)
-    assert payload["error"] == "KeyError"
-    assert f"label {label!r} names 2 vertices" in payload["message"]
+    assert json.loads(err) == {"error": "KeyError", "message": f"label {label!r} names 2 vertices"}
+
+
+def test_unknown_label_is_exit_1(capsys):
+    assert run(capsys, "classify", "--family", "grid:3,3", "--set-labels", "zz") == (
+        1, "", '{"error": "KeyError", "message": "no vertex labeled \'zz\'"}\n')
+
+
+def test_label_on_an_unlabeled_file_graph_is_exit_1(capsys, tmp_path):
+    el = tmp_path / "p3.el"
+    el.write_text("3\n0 1\n1 2\n")
+    code, out, err = run(capsys, "classify", "--file", str(el), "--set-labels", "0")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "KeyError",
+                               "message": "graph carries no labels (looking up '0')"}
 
 
 def test_reduce_too_small(capsys, tmp_path):

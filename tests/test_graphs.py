@@ -62,8 +62,9 @@ class TestVertexSet:
             VertexSet.of(3, [0]) | VertexSet.of(4, [0])
 
     def test_out_of_range_member_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             VertexSet.of(3, [3])
+        assert info.value.args == ("vertex 3 outside universe of size 3",)
 
     @pytest.mark.parametrize(
         "n, bits",
@@ -115,6 +116,17 @@ class TestEdgeListParsing:
     def test_malformed_token(self):
         with pytest.raises(ParseError):
             from_edge_list("3\n0 x")
+
+    @pytest.mark.parametrize("text, message", [
+        ("x\n0 1", "line 1: bad vertex count 'x'"),
+        ("-1\n", "line 1: negative vertex count"),
+        ("3\n0 1 2", "line 2: expected 'u v', got '0 1 2'"),
+        ("3\n0 -1", "line 2: negative vertex index"),
+    ], ids=["bad-count", "negative-count", "three-tokens", "negative-index"])
+    def test_refused_line(self, text, message):
+        with pytest.raises(ParseError) as info:
+            from_edge_list(text)
+        assert info.value.args == (message,)
 
     def test_comments_blanks_and_duplicates(self):
         g = from_edge_list("# a triangle\n3\n\n0 1  # first\n1 2\n0 1\n0 2\n")
@@ -178,6 +190,19 @@ class TestOperators:
         g = cartesian_product(path(2), path(3))
         assert g.labels[0 * 3 + 2] == "u0v2"
         assert g.index_of_label("u1v0") == 3
+
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: Graph(-1), ValueError, "vertex count must be nonnegative"),
+        (lambda: Graph(2, [(0, 2)]), IndexError, "edge (0, 2) outside vertex range 0..1"),
+        (lambda: Graph(2, [(1, 1)]), LoopError, "self-loop at vertex 1"),
+        (lambda: Graph(2, labels=["a"]), ValueError, "label count does not match vertex count"),
+        (lambda: Graph(2).index_of_label("a"), KeyError,
+         "graph carries no labels (looking up 'a')"),
+    ], ids=["negative-count", "edge-out-of-range", "loop", "label-count", "no-labels"])
+    def test_refused_graph(self, build, error, message):
+        with pytest.raises(error) as info:
+            build()
+        assert type(info.value) is error and info.value.args == (message,)
 
     def test_a_label_naming_several_vertices_is_refused(self):
         g = join(Graph(2, [(0, 1)], labels=["a", "b"]), Graph(2, [(0, 1)], labels=["a", "c"]))
@@ -247,6 +272,7 @@ class TestConnectivity:
 
     def test_complete_graph_convention(self):
         assert vertex_connectivity(complete(5)) == 4
+        assert vertex_connectivity(Graph(1)) == 0
 
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedInput):

@@ -51,6 +51,27 @@ class TestBuild:
             with pytest.raises(ValueError):
                 red.m_of(k)
 
+    def test_path_length_must_be_positive(self):
+        with pytest.raises(ValueError) as info:
+            build_reduction(FIG3, path_len=0)
+        assert info.value.args == ("path length must be >= 1, got 0",)
+
+    def test_role_lookups_refuse_positions_outside_the_gadget(self):
+        red = build_reduction(FIG3, path_len=2)  # four source edges
+        assert red.path_vertex(3, 0) == red.subdiv_vertex(3) == 7
+        assert [red.path_vertex(3, i) for i in (1, 2)] == [14, 15]
+        for lookup, message in [
+            (lambda: red.subdiv_vertex(4), "no source edge 4"),
+            (lambda: red.subdiv_vertex(-1), "no source edge -1"),
+            (lambda: red.path_vertex(0, 3), "path position 3 outside 1..2"),
+            (lambda: red.path_vertex(0, -1), "path position -1 outside 1..2"),
+            (lambda: red.path_vertex(4, 1), "no source edge 4"),
+            (lambda: red._path(-1), "no source edge -1"),
+        ]:
+            with pytest.raises(ValueError) as info:
+                lookup()
+            assert info.value.args == (message,)
+
     def test_override_marks_non_faithful(self):
         red = build_reduction(FIG3, path_len=3)
         assert not red.faithful
@@ -152,6 +173,15 @@ class TestLiftAndExtract:
         ext = extract_independent_set(red, red.gprime.vertex_set([red.hub]))
         assert ext.vertices.members() == []
         assert ext.independent
+
+    def test_sets_from_another_universe_are_refused(self):
+        red = build_reduction(FIG3, path_len=2)
+        with pytest.raises(ValueError) as info:
+            lift_independent_set(red, VertexSet(red.gprime.n, 1))
+        assert info.value.args == ("candidate set must live in the source vertex universe",)
+        with pytest.raises(ValueError) as info:
+            extract_independent_set(red, FIG3.vertex_set([0]))
+        assert info.value.args == ("candidate set must live in the gadget vertex universe",)
 
     def test_dependent_extraction_flagged(self):
         red = build_reduction(FIG3)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from powerdom import (
     BudgetExceeded,
     Graph,
+    VertexSet,
     classify,
     colex_masks,
     domination_number,
@@ -250,6 +251,35 @@ class TestSolverContract:
             zero_forcing_number(cycle(8), budget=3)
         assert (info.value.lower_bound, info.value.witness) == (None, None)
 
+    @pytest.mark.parametrize("solve", SOLVERS, ids=lambda solve: solve.__name__)
+    def test_empty_graph_is_rejected(self, solve):
+        with pytest.raises(ValueError, match="^solvers require at least one vertex$"):
+            solve(Graph(0))
+
+    def test_ascent_scans_from_one_and_always_has_a_witness(self, monkeypatch):
+        # the empty set is decided before the ascent, so no stratum scan
+        # sees k = 0, and every result carries its witness, the empty set
+        # included: alpha of an edgeless graph is n, gamma_bar_p of K1 is 0,
+        # and every third graph is joined up to the fort route's degree 4
+        scanned = []
+
+        def scan(adj, full, k, *args):
+            scanned.append(k)
+            return _scan_stratum(adj, full, k, *args)
+
+        monkeypatch.setattr(solvers, "_scan_stratum", scan)
+        rng = random.Random(56)
+        graphs = [generate(parse_family("empty:4")), complete(1)]
+        for i in range(30):
+            n, edges = oracles.random_graph(rng, rng.randint(5, 9), rng.choice([0.2, 0.5, 0.8]))
+            graphs.append(Graph(n, joined_to_degree_four(n, edges) if i % 3 == 0 else edges))
+        assert sum(min(g.degrees()) >= 4 for g in graphs) >= 10
+        witnesses = [solve(g).witness for g in graphs for solve in SOLVERS]
+        assert all(isinstance(w, VertexSet) for w in witnesses)
+        assert scanned and 0 not in scanned
+        assert max_independent_set(graphs[0]).witness.members() == [0, 1, 2, 3]
+        assert gamma_bar_p(graphs[1]).witness.members() == []
+
 
 class TestScanMatchesReference:
     """The depth-first scan against a per-subset colex scan built on the
@@ -270,21 +300,26 @@ class TestScanMatchesReference:
                 assert res.propagation_calls == calls, solve.__name__
 
     def test_each_stratum_for_either_answer(self):
-        # the solvers' searches never meet a prefix that settles the wanted
-        # answer above the leaves (the stratum below would have held a hit),
-        # so the stratum scan is checked on its own, for both answers
+        # the stratum scan on its own, for both answers, on the strata the
+        # ascent reaches: k >= 1, and a satisfying set is asked for only up
+        # to the least size that has one, below which every set fails.  A
+        # cap one short of the subsets decided runs out: (None, cap + 1)
         rng = random.Random(44)
         for _ in range(15):
             n, edges = oracles.random_graph(rng, rng.randint(1, 8), rng.choice([0.2, 0.5, 0.8]))
             adj, full = Graph(n, edges).adjacency_masks(), (1 << n) - 1
             for name, pred in oracles.subset_predicates(n, edges).items():
-                for k in range(n + 1):
-                    for want in (True, False):
+                satisfied = False  # a smaller stratum held a satisfying set
+                for k in range(1, n + 1):
+                    for want in (False,) if satisfied else (True, False):
                         hit, calls = _scan_stratum(adj, full, k, GROW[name], want, 10**9)
                         ref_hit, ref_calls = oracles.scan_stratum(
                             n, k, lambda s: pred(s) == want)
                         ref_mask = None if ref_hit is None else sum(1 << v for v in ref_hit)
                         assert (hit, calls) == (ref_mask, ref_calls), (name, k, want)
+                        assert _scan_stratum(adj, full, k, GROW[name], want, calls - 1) \
+                            == (None, calls), (name, k, want)
+                        satisfied |= want and hit is not None
 
     def test_each_stratum_with_the_bound(self):
         # a failed-parameter stratum skips the children below `least`, built
@@ -297,7 +332,7 @@ class TestScanMatchesReference:
             for name in ("pds", "zfs", "dependent"):
                 fails = lambda s, pred=preds[name]: not pred(s)
                 tops = []
-                for k in range(n + 1):
+                for k in range(1, n + 1):
                     least = (*tops, tops[-1] + 1) if tops else ()
                     hit, calls = _scan_stratum(adj, full, k, GROW[name], False, 10**9, least)
                     ref_hit, ref_calls = oracles.scan_stratum(n, k, fails)
@@ -305,8 +340,7 @@ class TestScanMatchesReference:
                     assert (hit, calls) == (ref_mask, ref_calls), (name, k, least)
                     if ref_hit is None:
                         break
-                    if k:
-                        tops.append(ref_hit[-1])
+                    tops.append(ref_hit[-1])
 
     def test_budget_runs_out_inside_a_settled_subtree(self):
         # a star with its center last: in the certifying stratum (k = 5) the
@@ -497,6 +531,8 @@ class TestFortRoute:
         assert [(k, hit) for k, hit in returned if hit == (1 << k) - 1] == []
 
     def test_route_scans_only_the_empty_stratum(self, monkeypatch):
+        # the empty stratum is decided before the ascent, and every stratum
+        # after it takes the fort route, so nothing is scanned
         scanned = []
 
         def scan(adj, full, k, *args):
@@ -505,7 +541,7 @@ class TestFortRoute:
 
         monkeypatch.setattr(solvers, "_scan_stratum", scan)
         res = failed_zero_forcing_number(generate(parse_family("kxp:4,5")))
-        assert (res.value, scanned) == (14, [0])
+        assert (res.value, scanned) == (14, [])
 
 
 class TestFortOracle:
