@@ -53,7 +53,12 @@ def _load_graph(args) -> graphs.Graph:
 
 def _parse_set(args, g: graphs.Graph) -> graphs.VertexSet:
     if args.set_indices is not None:
-        members = [int(tok) for tok in args.set_indices.split(",") if tok.strip() != ""]
+        members = []
+        for tok in filter(str.strip, args.set_indices.split(",")):
+            try:
+                members.append(int(tok))
+            except ValueError:
+                raise ValueError(f"--set: {tok.strip()!r} is not a vertex index") from None
         return g.vertex_set(members)
     labels = [tok.strip() for tok in args.set_labels.split(",") if tok.strip()]
     return g.set_of_labels(labels)

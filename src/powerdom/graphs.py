@@ -128,11 +128,11 @@ class Graph:
     """Simple undirected graph, immutable after construction.
 
     Adjacency is kept twice: as one bitmask per vertex and as one tuple of
-    neighbor indices per vertex, with its length as the degree.  Labels
-    are optional, cosmetic display strings.
+    neighbor indices per vertex, with its length as the degree; the edge
+    count is kept too.  Labels are optional, cosmetic display strings.
     """
 
-    __slots__ = ("n", "_adj", "_nbrs", "_deg", "labels")
+    __slots__ = ("n", "_adj", "_nbrs", "_deg", "_m", "labels")
 
     def __init__(
         self,
@@ -163,7 +163,9 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_adj", tuple(adj))
         object.__setattr__(self, "_nbrs", tuple(map(tuple, nbrs)))
-        object.__setattr__(self, "_deg", tuple(map(len, nbrs)))
+        deg = tuple(map(len, nbrs))
+        object.__setattr__(self, "_deg", deg)
+        object.__setattr__(self, "_m", sum(deg) // 2)
         object.__setattr__(self, "labels", labels)
 
     def __setattr__(self, *_):
@@ -207,7 +209,7 @@ class Graph:
         return out
 
     def edge_count(self) -> int:
-        return sum(self._deg) // 2
+        return self._m
 
     # -- vertex sets -------------------------------------------------------
 

@@ -14,13 +14,13 @@ that forced in the round before; `run_chain_bits` keeps no forcers and is
 the reference chain the closures are tested against.  The index kernel
 walks neighbor-index tuples instead, with a `bytearray` of monitored flags
 and, per vertex, a count of its unmonitored neighbors, so each edge is
-touched a bounded number of times.  The traces and `classify`'s first
-closure use it.  Its set-up walks the smaller side of step 0: the
-monitored vertices when s has at most n/2 members, the unmonitored ones
-otherwise, so the near-complete lifted sets of the reduction gadget set
-up in the time of a small set.  The members' side first copies all n
-degree counts, about 4.7 us on the n = 994 gadget, so its set-up is not
-sublinear in n.
+touched a bounded number of times.  The traces, `classify`'s first
+closure and `is_pds` on large sparse graphs use it.  Its set-up walks the
+smaller side of step 0: the monitored vertices when s has at most n/2
+members, the unmonitored ones otherwise, so the near-complete lifted sets
+of the reduction gadget set up in the time of a small set.  The members'
+side first copies all n degree counts, about 4.7 us on the n = 994
+gadget, so its set-up is not sublinear in n.
 
 The traces keep simultaneous rounds: every vertex that can force at the
 start of a round forces in it, so their steps are those of
@@ -34,9 +34,17 @@ kernel: they grow each closure from one that is already a fixed point, and
 where the index kernel would copy or rebuild its counters for every set
 tried, which a prototype of each measured slower.  A failing augmentation
 N[s + v] usually stalls at once and a succeeding one runs the whole chain,
-so `classify` gives each one round first.  `is_pds` stays
-`fixpoint_bits(N[s]) == V` while perfbench's traced runs time the
-propagation layer through `fixpoint_bits` calls.
+so `classify` gives each one round first.
+
+`is_pds` runs the index kernel on graphs of more than 30 vertices and
+average degree at most 6 (2m <= 6n), and `fixpoint_bits(N[s]) == V` on
+the others, where the bitmask kernel is faster.  The index kernel's time
+over the bitmask kernel's (median of 7 over 48 seeded sets of 1 to 8
+vertices, Python 3.11, 2-vCPU Xeon):
+
+    large sparse  path:300 0.46, gadget 0.48, grid:10,10 0.81, kxp:5,20 1.00
+    n <= 30       path:30 1.03, grid:5,6 1.19, ladder:12 1.21, kxp:5,6 1.47
+    dense         kxp:6,6 1.13, kxp:10,10 1.42, kmn:16,16 1.87, complete:100 8.4
 """
 
 from __future__ import annotations
@@ -274,9 +282,13 @@ def zero_forcing_fixpoint(g: Graph, s: VertexSet) -> PropagationTrace:
 
 
 def is_pds(g: Graph, s: VertexSet) -> bool:
-    adj = g.adjacency_masks()
+    """Whether the power-domination chain of s reaches every vertex, on the
+    kernel the module docstring's rule picks for g."""
+    if g.n > 30 and 2 * g.edge_count() <= 6 * g.n:
+        nbrs, mon, left, todo, step0 = _start(g, s, True)
+        return step0.bit_count() + _close(nbrs, mon, left, todo) == g.n
     start = closed_neighborhood(g, s).bits
-    return fixpoint_bits(adj, start) == (1 << g.n) - 1
+    return fixpoint_bits(g.adjacency_masks(), start) == (1 << g.n) - 1
 
 
 def _stalls_at_once(adj: Sequence[int], closed: int, outside: int, full: int) -> bool:

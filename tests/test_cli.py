@@ -250,6 +250,12 @@ def test_unknown_label_is_exit_1(capsys):
         1, "", '{"error": "KeyError", "message": "no vertex labeled \'zz\'"}\n')
 
 
+@pytest.mark.parametrize("tokens, bad", [("a", "a"), ("0, b ,1", "b"), ("1.5", "1.5")])
+def test_a_set_token_that_is_no_index_is_exit_1(capsys, tokens, bad):
+    assert run(capsys, "classify", "--family", "grid:3,3", "--set", tokens) == (
+        1, "", '{"error": "ValueError", "message": "--set: \'%s\' is not a vertex index"}\n' % bad)
+
+
 def test_label_on_an_unlabeled_file_graph_is_exit_1(capsys, tmp_path):
     el = tmp_path / "p3.el"
     el.write_text("3\n0 1\n1 2\n")

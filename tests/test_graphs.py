@@ -99,6 +99,19 @@ def test_immutable_types_pickle_and_copy(copy_of):
         h.n = 4
 
 
+@pytest.mark.parametrize(
+    "copy_of",
+    [lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_edge_count_is_kept_through_pickle_and_copy(copy_of):
+    # the count is stored when the graph is built, repeated edges once
+    g = Graph(4, [(0, 1), (1, 0), (2, 1), (0, 1)])
+    assert g.edge_count() == 2 == len(g.edges())
+    assert copy_of(g).edge_count() == 2
+    assert copy_of(Graph(0)).edge_count() == 0
+
+
 class TestEdgeListParsing:
     def test_header_and_edges(self):
         g = from_edge_list("3\n0 1\n1 2")

@@ -20,7 +20,7 @@ from powerdom import (
 )
 from powerdom import propagation
 from powerdom.graphs import closed_neighborhood_bits
-from powerdom.propagation import fixpoint_from, run_chain_bits
+from powerdom.propagation import fixpoint_bits, fixpoint_from, run_chain_bits
 
 import oracles
 from contracts import assert_value_type
@@ -305,13 +305,14 @@ GADGET = build_reduction(GADGET_SOURCE)
 LARGE_SPARSE = ["path:300", "cycle:200", "ladder:50", "kxp:5,20", "gadget"]
 
 
-def large_sparse_graph(spec: str) -> Graph:
+def named_graph(spec: str) -> Graph:
+    """A family spec's graph, or the reduction gadget over grid:3,3."""
     return GADGET.gprime if spec == "gadget" else generate(parse_family(spec))
 
 
 @pytest.mark.parametrize("spec", LARGE_SPARSE)
 def test_large_sparse_graphs_agree_with_bitmask_kernel(spec):
-    g = large_sparse_graph(spec)
+    g = named_graph(spec)
     rng = random.Random(f"differential {spec}")
     for k in range(1, 9):
         for _ in range(4):
@@ -322,7 +323,7 @@ def test_large_sparse_graphs_agree_with_bitmask_kernel(spec):
 def test_sets_of_more_than_half_agree_with_bitmask_kernel(spec):
     # a set of more than n/2 vertices is set up from the vertices outside
     # it; n // 2 and n // 2 + 1 members sit on either side of the switch
-    g = large_sparse_graph(spec)
+    g = named_graph(spec)
     rng = random.Random(f"large side {spec}")
     sets = [
         g.vertex_set(rng.sample(range(g.n), k)).complement()
@@ -363,7 +364,7 @@ def test_large_sparse_closures_agree_with_reference_chain(spec):
     # `fixpoint_from` from scratch and grown from fixed points, as the scan
     # and the maximal-stalling loop grow it, against the reference chain.
     # From a path's end a closure runs 299 rounds of one-vertex frontiers.
-    g = large_sparse_graph(spec)
+    g = named_graph(spec)
     adj, full = g.adjacency_masks(), (1 << g.n) - 1
     rng = random.Random(f"closures {spec}")
     sets = [1, 1 << g.n - 1] + [g.vertex_set(rng.sample(range(g.n), k)).bits for k in range(1, 9)]
@@ -451,6 +452,114 @@ def test_random_graphs_agree_with_bitmask_kernel(data):
 def test_vertex_set_from_another_universe(fn, s):
     with pytest.raises(ValueError, match="universe size"):
         fn(path(5), s)
+
+
+def circulant(n: int, steps, extra=()) -> Graph:
+    return Graph(n, [(i, (i + d) % n) for i in range(n) for d in steps] + list(extra))
+
+
+def disjoint_cycles(*lengths: int, isolated: int = 0) -> Graph:
+    edges, base = [], 0
+    for k in lengths:
+        edges += [(base + i, base + (i + 1) % k) for i in range(k)]
+        base += k
+    return Graph(base + isolated, edges)
+
+
+# `is_pds` takes the index kernel when n > 30 and 2m <= 6n; named graphs on
+# both sides of each bound, with the kernel each one takes
+KERNEL_ROUTE_GRAPHS = {
+    "path:30": (named_graph("path:30"), "bitmask"),
+    "path:31": (named_graph("path:31"), "index"),
+    "empty:30": (named_graph("empty:30"), "bitmask"),
+    "empty:31": (named_graph("empty:31"), "index"),
+    "cycles 15+15": (disjoint_cycles(15, 15), "bitmask"),
+    "cycles 15+16": (disjoint_cycles(15, 16), "index"),
+    "cycles 14+15 + 3 isolated": (disjoint_cycles(14, 15, isolated=3), "index"),
+    "circulant 30 (2m = 6n)": (circulant(30, (1, 2, 3)), "bitmask"),
+    "circulant 32 (2m = 6n)": (circulant(32, (1, 2, 3)), "index"),
+    "circulant 32 (2m = 6n + 2)": (circulant(32, (1, 2, 3), [(0, 16)]), "bitmask"),
+    "complete:31": (named_graph("complete:31"), "bitmask"),
+    "complete:40": (named_graph("complete:40"), "bitmask"),
+    "kmn:20,20": (named_graph("kmn:20,20"), "bitmask"),
+    "kxp:10,10": (named_graph("kxp:10,10"), "bitmask"),
+    "ladder:12": (named_graph("ladder:12"), "bitmask"),
+    "grid:6,6": (named_graph("grid:6,6"), "index"),
+    "path:300": (named_graph("path:300"), "index"),
+    "gadget": (named_graph("gadget"), "index"),
+}
+
+
+def count_fixpoint_bits(monkeypatch) -> list:
+    """Record the arguments of every `propagation.fixpoint_bits` call."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return fixpoint_bits(*args)
+
+    monkeypatch.setattr(propagation, "fixpoint_bits", counted)
+    return calls
+
+
+def sets_across_the_halfway_switch(g: Graph, rng: random.Random) -> list:
+    """The empty and the full set, sets of 1 to 8 vertices, their
+    complements, and sets of n // 2 and n // 2 + 1 vertices."""
+    small = [g.vertex_set(rng.sample(range(g.n), min(k, g.n))) for k in range(1, 9)]
+    sets = [g.empty_set(), g.full_set(), *small, *(s.complement() for s in small)]
+    sets += [g.vertex_set(rng.sample(range(g.n), g.n // 2 + d)) for d in (0, 1)]
+    return sets
+
+
+@pytest.mark.parametrize("name", KERNEL_ROUTE_GRAPHS)
+def test_is_pds_on_both_sides_of_the_kernel_rule(name):
+    # against the reference chain and the oracle, on both kernels, with
+    # sets on both sides of the index kernel's n/2 set-up switch
+    g = KERNEL_ROUTE_GRAPHS[name][0]
+    adj, full, edges = g.adjacency_masks(), (1 << g.n) - 1, g.edges()
+    rng = random.Random(f"kernel rule {name}")
+    for s in sets_across_the_halfway_switch(g, rng):
+        want = run_chain_bits(adj, closed_neighborhood_bits(adj, s.bits))[-1] == full
+        assert want == oracles.is_pds(g.n, edges, s.members())
+        assert is_pds(g, s) == want
+
+
+def test_is_pds_on_random_graphs_around_the_kernel_rule():
+    # n from 28 to 34 at densities on both sides of 2m = 6n, connected or not
+    rng = random.Random(30)
+    routes = set()
+    for _ in range(60):
+        n, edges = oracles.random_graph(rng, rng.randint(28, 34), rng.choice([0.05, 0.15, 0.3]))
+        g = Graph(n, edges)
+        routes.add(g.n > 30 and 2 * len(edges) <= 6 * g.n)
+        adj, full = g.adjacency_masks(), (1 << g.n) - 1
+        for s in sets_across_the_halfway_switch(g, rng):
+            want = run_chain_bits(adj, closed_neighborhood_bits(adj, s.bits))[-1] == full
+            assert is_pds(g, s) == want
+    assert routes == {True, False}
+
+
+@pytest.mark.parametrize("name", KERNEL_ROUTE_GRAPHS)
+def test_is_pds_reaches_fixpoint_bits_only_on_small_or_dense_graphs(monkeypatch, name):
+    """A graph of at most 30 vertices or of average degree above 6 closes
+    through `propagation.fixpoint_bits`, once per call; any other closes on
+    the index kernel, with no such call.  perfbench's traced probe times the
+    propagation layer's fixpoint through the `is_pds(ladder:12)` calls when
+    the workload's own pass makes none, as a classify-stream pass on its
+    large sparse graphs does."""
+    g, kernel = KERNEL_ROUTE_GRAPHS[name]
+    calls = count_fixpoint_bits(monkeypatch)
+    sets = [g.empty_set(), g.vertex_set([0]), g.full_set()]
+    for s in sets:
+        is_pds(g, s)
+    assert len(calls) == (len(sets) if kernel == "bitmask" else 0)
+
+
+@pytest.mark.parametrize("n", [30, 31], ids=["bitmask", "index"])
+@pytest.mark.parametrize("d", [-1, 1], ids=["smaller", "larger"])
+def test_is_pds_refuses_a_set_from_another_universe_on_either_kernel(n, d):
+    with pytest.raises(ValueError, match="universe size"):
+        is_pds(path(n), VertexSet.of(n + d, [n + d - 1]))
 
 
 @pytest.mark.parametrize(
