@@ -55,7 +55,6 @@ from .reduction import (
 from .solvers import (
     DEFAULT_BUDGET,
     SolverResult,
-    colex_masks,
     domination_number,
     failed_zero_forcing_number,
     gamma_bar_p,

@@ -176,9 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # after each command's own arguments, where its --help lists them
     for p in sub.choices.values():
-        fmt = p.add_mutually_exclusive_group()
-        fmt.add_argument("--json", dest="json_out", action="store_true", default=True)
-        fmt.add_argument("--plain", dest="json_out", action="store_false")
+        p.add_argument("--plain", action="store_true", help="plain text instead of JSON")
     return parser
 
 
@@ -186,10 +184,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         payload, plain_lines = args.handler(args)
-        if args.json_out:
-            print(json.dumps(payload))
-        else:
+        if args.plain:
             print(*plain_lines, sep="\n")
+        else:
+            print(json.dumps(payload))
         return 0
     except BudgetExceeded as exc:
         payload = {"error": "budget_exceeded", "calls": exc.calls, "budget": exc.budget}

@@ -236,10 +236,10 @@ def _mask(mon: bytearray) -> int:
     return int(mon[::-1].translate(_DIGITS) or b"0", 2)
 
 
-def _trace(g: Graph, kind: str, s: VertexSet, dominate: bool) -> PropagationTrace:
+def _trace(g: Graph, kind: str, s: VertexSet) -> PropagationTrace:
     """The chain in simultaneous rounds: every vertex that can force at the
     start of a round forces in it, as in `run_chain_bits`."""
-    nbrs, mon, left, cand, cur = _start(g, s, dominate)
+    nbrs, mon, left, cand, cur = _start(g, s, kind == POWER_DOMINATION)
     steps = [cur]
     while True:
         new = []
@@ -273,12 +273,12 @@ def _trace(g: Graph, kind: str, s: VertexSet, dominate: bool) -> PropagationTrac
 
 def monitored_fixpoint(g: Graph, s: VertexSet) -> PropagationTrace:
     """Power-domination chain: step 0 is the closed neighborhood of s."""
-    return _trace(g, POWER_DOMINATION, s, True)
+    return _trace(g, POWER_DOMINATION, s)
 
 
 def zero_forcing_fixpoint(g: Graph, s: VertexSet) -> PropagationTrace:
     """Zero-forcing chain: step 0 is s itself (no domination step)."""
-    return _trace(g, ZERO_FORCING, s, False)
+    return _trace(g, ZERO_FORCING, s)
 
 
 def is_pds(g: Graph, s: VertexSet) -> bool:

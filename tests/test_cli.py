@@ -108,6 +108,7 @@ def test_negative_budget_is_exit_1(capsys):
         ["gammabar"],
         ["gammabar", "--family", "cycle:8", "--workers", "2"],
         ["gammabar", "--family", "cycle:8", "--canonical"],
+        ["gammabar", "--family", "cycle:8", "--json"],
         ["gammabar", "--family", "cycle:8", "--budget", "many"],
         [],
     ],

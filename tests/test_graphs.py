@@ -65,6 +65,10 @@ class TestVertexSet:
         with pytest.raises(ValueError) as info:
             VertexSet.of(3, [3])
         assert info.value.args == ("vertex 3 outside universe of size 3",)
+        for v in (3, -1):
+            with pytest.raises(ValueError) as info:
+                VertexSet.of(3, [0]).with_vertex(v)
+            assert info.value.args == (f"vertex {v} outside universe of size 3",)
 
     @pytest.mark.parametrize(
         "n, bits",
@@ -355,3 +359,4 @@ def test_json_emission():
         "edges": [[0, 1], [1, 2]],
         "labels": ["a", "b", "c"],
     }
+    assert repr(g) == "Graph(n=3, m=2)"

@@ -415,6 +415,29 @@ def test_closures_of_the_smallest_graphs():
     assert fixpoint_from([2, 1], 0, 1) == 3 == run_chain_bits([2, 1], 1)[-1]
 
 
+class CountedMasks(tuple):
+    """Adjacency masks that count how often a mask is read."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        self.reads += 1
+        return super().__getitem__(v)
+
+
+def test_a_stop_met_in_round_one_ends_the_closure():
+    # on path:20, {10, 11} forces every vertex, so 11 may stop a closure
+    # grown from the fixed point {10}; adding 9 forces 8 and 11 in round
+    # one, and the closure returns V there instead of walking the path
+    g = generate(parse_family("path:20"))
+    reads = []
+    for stop in (0, 1 << 11):
+        adj = CountedMasks(g.adjacency_masks())
+        assert fixpoint_from(adj, 1 << 10, 1 << 9, stop) == (1 << 20) - 1
+        reads.append(adj.reads)
+    assert reads[1] < reads[0]
+
+
 @st.composite
 def sparse_graph_and_set(draw, max_n=40):
     """Up to `max_n` vertices and at most twice as many edges, the last few

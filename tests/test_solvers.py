@@ -10,7 +10,6 @@ from powerdom import (
     Graph,
     VertexSet,
     classify,
-    colex_masks,
     domination_number,
     failed_zero_forcing_number,
     gamma_bar_p,
@@ -27,8 +26,11 @@ from powerdom.solvers import (
     _grow_pds,
     _grow_zfs,
     _scan_stratum,
+    colex_masks,
 )
 from powerdom import solvers
+from powerdom.graphs import closed_neighborhood_bits
+from powerdom.propagation import fixpoint_from
 
 import oracles
 from contracts import assert_value_type
@@ -542,6 +544,76 @@ class TestFortRoute:
         monkeypatch.setattr(solvers, "_scan_stratum", scan)
         res = failed_zero_forcing_number(generate(parse_family("kxp:4,5")))
         assert (res.value, scanned) == (14, [])
+
+
+def grow_calls(monkeypatch, solve, g):
+    """The result of `solve(g)` and, per stratum k, the closures its scan
+    grows: the calls of the `grow` that `_scan_stratum` receives."""
+    calls = {}
+
+    def scan(adj, full, k, grow, *args):
+        def counted(*grow_args):
+            calls[k] = calls.get(k, 0) + 1
+            return grow(*grow_args)
+
+        return _scan_stratum(adj, full, k, counted, *args)
+
+    monkeypatch.setattr(solvers, "_scan_stratum", scan)
+    return solve(g), calls
+
+
+class TestMeasuredShortcuts:
+    """The scan's shortcuts change no value, witness or count, so these pins
+    watch the work they save."""
+
+    def test_first_set_stratum_is_one_closure(self, monkeypatch):
+        # Z(K4) = 3 with witness {0, 1, 2}: the first child of stratum 3
+        # has a single completion, decided by one closure over {0, 1, 2}
+        # instead of one per element
+        res, calls = grow_calls(monkeypatch, zero_forcing_number, complete(4))
+        assert (res.value, res.witness.members()) == (3, [0, 1, 2])
+        assert calls[3] == 1
+
+    def test_settled_children_grow_no_closure(self, monkeypatch):
+        """gamma_bar_p(grid:3,3) = 2 grows 1, 14 and 3 closures in strata 1
+        to 3.  Stratum 3 starts at 7, the least the witness {2, 6} of
+        stratum 2 allows: {7} is a PDS, so its subtree is settled and 7 is
+        dead below the next child, {8}, whose child {6, 8} is a PDS too.
+        That is 3 closures, {7}, {8} and {6, 8}; the dead child {7, 8} is
+        settled with none.  In stratum 2 dead vertices settle leaves the
+        same way."""
+        res, calls = grow_calls(monkeypatch, gamma_bar_p, generate(parse_family("grid:3,3")))
+        assert (res.value, res.witness.members()) == (2, [2, 6])
+        assert calls == {1: 1, 2: 14, 3: 3}
+
+    def test_zero_forcing_closures_stop_at_dead_vertices(self, monkeypatch):
+        # the scan's dead vertices reach `fixpoint_from` as its `stop`
+        stops = []
+
+        def closure(adj, closed, add, stop=0):
+            stops.append(stop)
+            return fixpoint_from(adj, closed, add, stop)
+
+        monkeypatch.setattr(solvers, "fixpoint_from", closure)
+        assert failed_zero_forcing_number(generate(parse_family("grid:5,5"))).value == 20
+        assert any(stops)
+
+    def test_one_vertex_dominating_child_calls_no_helper(self, monkeypatch):
+        # a scan child adds one vertex, whose N[v] is its mask plus itself
+        walks = []
+
+        def walk(adj, bits):
+            walks.append(bits)
+            return closed_neighborhood_bits(adj, bits)
+
+        monkeypatch.setattr(solvers, "closed_neighborhood_bits", walk)
+        g = generate(parse_family("grid:3,3"))
+        adj, full = g.adjacency_masks(), (1 << g.n) - 1
+        for v in range(g.n):
+            assert _grow_dominating(adj, full, 0, 1 << v, 0) == adj[v] | 1 << v
+        assert walks == []
+        assert _grow_dominating(adj, full, 0, 0b101, 0) == adj[0] | adj[2] | 0b111
+        assert walks == [0b101]
 
 
 class TestFortOracle:
