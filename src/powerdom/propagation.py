@@ -15,18 +15,22 @@ the reference chain the closures are tested against.  The index kernel
 walks neighbor-index tuples instead, with a `bytearray` of monitored flags
 and, per vertex, a count of its unmonitored neighbors, so each edge is
 touched a bounded number of times.  The traces, `classify`'s first
-closure and `is_pds` on large sparse graphs use it.  Its set-up walks the
-smaller side of step 0: the monitored vertices when s has at most n/2
-members, the unmonitored ones otherwise, so the near-complete lifted sets
-of the reduction gadget set up in the time of a small set.  The members'
-side first copies all n degree counts, about 4.7 us on the n = 994
-gadget, so its set-up is not sublinear in n.
+closure and `is_pds` on large sparse graphs use it.  Its closure `_close`
+walks paths: a forced vertex of degree 2 forces its far neighbor at once,
+with no worklist round trip, which halves the closure on path:300,
+cycle:200 and the gadget, where nearly every vertex has degree 2.  Its
+set-up walks the smaller side of step 0: the monitored vertices when s has
+at most n/2 members, the unmonitored ones otherwise, so the near-complete
+lifted sets of the reduction gadget set up in the time of a small set.
+The members' side first copies all n degree counts, about 4.7 us on the
+n = 994 gadget, so its set-up is not sublinear in n.
 
 The traces keep simultaneous rounds: every vertex that can force at the
 start of a round forces in it, so their steps are those of
 `run_chain_bits` and comparable across implementations using the same
 convention.  A closure alone is order-free, since its fixed point is
-unique, so `classify` forces from a worklist in any order.
+unique, so `_close` forces from a worklist in any order, and along a path
+of degree-2 vertices first.
 
 The solver scan and `classify`'s maximal-stalling loop keep the bitmask
 kernel: they grow each closure from one that is already a fixed point, and
@@ -39,12 +43,13 @@ so `classify` gives each one round first.
 `is_pds` runs the index kernel on graphs of more than 30 vertices and
 average degree at most 6 (2m <= 6n), and `fixpoint_bits(N[s]) == V` on
 the others, where the bitmask kernel is faster.  The index kernel's time
-over the bitmask kernel's (median of 7 over 48 seeded sets of 1 to 8
-vertices, Python 3.11, 2-vCPU Xeon):
+over the bitmask kernel's (median of 15 interleaved passes over 48 seeded
+sets of 1 to 8 vertices, Python 3.11, 2-vCPU Xeon):
 
-    large sparse  path:300 0.46, gadget 0.48, grid:10,10 0.81, kxp:5,20 1.00
-    n <= 30       path:30 1.03, grid:5,6 1.19, ladder:12 1.21, kxp:5,6 1.47
-    dense         kxp:6,6 1.13, kxp:10,10 1.42, kmn:16,16 1.87, complete:100 8.4
+    large sparse  path:300 0.28, gadget 0.25, cycle:200 0.31, grid:10,10 0.87,
+                  kxp:5,20 1.08
+    n <= 30       path:30 0.81, grid:5,6 1.21, ladder:12 1.27, kxp:5,6 1.53
+    dense         kxp:6,6 1.22, kxp:10,10 1.48, kmn:16,16 1.81, complete:100 8.0
 """
 
 from __future__ import annotations
@@ -212,7 +217,10 @@ def _start(g: Graph, s: VertexSet, dominate: bool):
 def _close(nbrs, mon: bytearray, left: list[int], todo: list[int]) -> int:
     """Force to the fixed point, one vertex at a time in any order; returns
     the number of vertices forced.  `todo` must hold every monitored vertex
-    that has exactly one unmonitored neighbor."""
+    that has exactly one unmonitored neighbor.  A forced vertex w of degree
+    2 can only force its far neighbor v, so while v is unmonitored w forces
+    it at once, with no round trip through `todo`; the fixed point is
+    unique, so this order gives the same closure."""
     forced = 0
     while todo:
         u = todo.pop()
@@ -223,11 +231,27 @@ def _close(nbrs, mon: bytearray, left: list[int], todo: list[int]) -> int:
                 break
         mon[w] = 1
         forced += 1
-        todo.append(w)
-        for x in nbrs[w]:
-            left[x] -= 1
-            if left[x] == 1 and mon[x]:
-                todo.append(x)
+        ends = nbrs[w]
+        while len(ends) == 2:  # u forced w; v is w's far neighbor
+            v, x = ends
+            if v == u:
+                v = x
+            left[u] -= 1
+            left[v] -= 1
+            if mon[v]:
+                if left[v] == 1:
+                    todo.append(v)
+                break
+            mon[v] = 1
+            forced += 1
+            u, w = w, v
+            ends = nbrs[w]
+        else:
+            todo.append(w)
+            for x in ends:
+                left[x] -= 1
+                if left[x] == 1 and mon[x]:
+                    todo.append(x)
     return forced
 
 

@@ -585,6 +585,132 @@ def test_is_pds_refuses_a_set_from_another_universe_on_either_kernel(n, d):
         is_pds(path(n), VertexSet.of(n + d, [n + d - 1]))
 
 
+# -- degree-2 walks of the index kernel's closure ----------------------------
+#
+# `_close` forces along a vertex of degree 2 at once, so graphs made mostly
+# of such vertices take that walk for almost every vertex they force.
+
+
+def subdivided(n: int, edges, inner) -> Graph:
+    """Each edge (u, v) replaced by a path through `inner[i]` new vertices."""
+    out, m = [], n
+    for (u, v), k in zip(edges, inner):
+        chain = [u, *range(m, m + k), v]
+        m += k
+        out += zip(chain, chain[1:])
+    return Graph(m, out)
+
+
+def spider(*legs: int) -> Graph:
+    """Vertex 0 with a path of each given length hanging from it; leg i
+    ends at vertex sum(legs[:i + 1])."""
+    edges, base = [], 0
+    for k in legs:
+        chain = [0, *range(base + 1, base + k + 1)]
+        base += k
+        edges += zip(chain, chain[1:])
+    return Graph(base + 1, edges)
+
+
+def walk_agrees(g: Graph, s: VertexSet) -> None:
+    """`agrees_with_bitmask_kernel`, and the closure against the oracle."""
+    agrees_with_bitmask_kernel(g, s)
+    closure = oracles.pd_chain(g.n, g.edges(), s.members())[-1]
+    assert is_pds(g, s) == (len(closure) == g.n)
+    assert classify(g, s).monitored.bits == sum(1 << v for v in closure)
+
+
+WALK_GRAPHS = {
+    "K3": complete(3),
+    "cycles 3+4+40": disjoint_cycles(3, 4, 40),
+    "cycles 3+3+5 + 2 isolated": disjoint_cycles(3, 3, 5, isolated=2),
+    "path:41": path(41),
+    "spider 1,10,10": spider(1, 10, 10),
+    "spider 1,20,20,20": spider(1, 20, 20, 20),
+    "theta 12,12,12": subdivided(2, [(0, 1)] * 3, [12, 12, 12]),
+    "K4 subdivided 3 times": subdivided(4, [(u, v) for u in range(4) for v in range(u)], [3] * 6),
+}
+
+
+@pytest.mark.parametrize("name", WALK_GRAPHS)
+def test_degree_two_walks_agree_with_bitmask_kernel(name):
+    # both sides of `is_pds`'s n > 30 rule and of `_start`'s n/2 switch
+    g = WALK_GRAPHS[name]
+    rng = random.Random(f"walks {name}")
+    for s in sets_across_the_halfway_switch(g, rng):
+        walk_agrees(g, s)
+
+
+def test_subdivided_random_graphs_agree_with_bitmask_kernel():
+    # each edge of a random graph subdivided 0 to 3 times, with pendant
+    # paths hung from random vertices
+    rng = random.Random(22)
+    routes = set()
+    for _ in range(40):
+        n, edges = oracles.random_graph(rng, rng.randint(2, 12), rng.choice([0.2, 0.4, 0.7]))
+        pendants = [(rng.randrange(n), n + i) for i in range(rng.randint(0, 3))]
+        g = subdivided(n + len(pendants), edges + pendants,
+                       [rng.randint(0, 3) for _ in edges] + [rng.randint(0, 8) for _ in pendants])
+        routes.add(g.n > 30)
+        for s in sets_across_the_halfway_switch(g, rng):
+            walk_agrees(g, s)
+    assert routes == {True, False}
+
+
+@pytest.mark.parametrize(
+    "g, members, pds",
+    [
+        # N[{0}] = {199, 0, 1}: one walk from 1 runs round the cycle to 198
+        (cycle(200), [0], True),
+        # two walks meet: the one from 6 stops at 29, in N[30]
+        (path(41), [5, 30], True),
+        # N[1] monitors the center 0, which keeps two unmonitored
+        # neighbors; the walk up the leg 41..22 brings it down to one, so
+        # the center forces the leg 2..21
+        (spider(1, 20, 20), [1, 41], True),
+        # with a fourth leg the center's count stops at two
+        (spider(1, 20, 20, 20), [1, 61], False),
+        # K3 is monitored at step 0 and C40 is not reached
+        (disjoint_cycles(3, 40), [0], False),
+        (disjoint_cycles(3, 40), [0, 3], True),
+    ],
+    ids=["round a cycle", "walks meet", "count drops to one", "count stays at two",
+         "K3 only", "K3 and C40"],
+)
+def test_degree_two_walk_cases(g, members, pds):
+    s = g.vertex_set(members)
+    walk_agrees(g, s)
+    assert is_pds(g, s) == classify(g, s).is_pds == pds
+
+
+class CountedPops(list):
+    """A worklist that counts its pops."""
+
+    pops = 0
+
+    def pop(self, *args):
+        self.pops += 1
+        return super().pop(*args)
+
+
+def test_degree_two_walks_skip_the_worklist(monkeypatch):
+    # from {0} on path:300 and cycle:200 one walk forces every vertex left:
+    # the worklist is popped for its few set-up entries, not per vertex
+    start, worklists = propagation._start, []
+
+    def counted(*args):
+        nbrs, mon, left, todo, step0 = start(*args)
+        worklists.append(CountedPops(todo))
+        return nbrs, mon, left, worklists[-1], step0
+
+    monkeypatch.setattr(propagation, "_start", counted)
+    for spec in ("path:300", "cycle:200"):
+        g = named_graph(spec)
+        assert is_pds(g, g.vertex_set([0])) and classify(g, g.vertex_set([0])).is_pds
+    assert len(worklists) == 4
+    assert all(todo.pops < 5 for todo in worklists), [todo.pops for todo in worklists]
+
+
 @pytest.mark.parametrize(
     "copy_of",
     [lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy],
