@@ -4,7 +4,9 @@ Vertices are dense 0-based indices.  Every vertex subset is a `VertexSet`,
 a thin immutable wrapper over an int bitmask, so set algebra is exact and
 cheap even for graphs with a few hundred vertices.  A graph also keeps each
 vertex's neighbors as a tuple of indices, for kernels that walk edges one
-at a time instead of masking whole vertex sets.
+at a time instead of masking whole vertex sets, and, once a closure asks
+for it, a contracted view in which every long path of degree-2 vertices is
+shortened to two vertices.
 """
 
 from __future__ import annotations
@@ -130,9 +132,10 @@ class Graph:
     Adjacency is kept twice: as one bitmask per vertex and as one tuple of
     neighbor indices per vertex, with its length as the degree; the edge
     count is kept too.  Labels are optional, cosmetic display strings.
+    `contracted_view` is built on its first call and cached in `_view`.
     """
 
-    __slots__ = ("n", "_adj", "_nbrs", "_deg", "_m", "labels")
+    __slots__ = ("n", "_adj", "_nbrs", "_deg", "_m", "labels", "_view")
 
     def __init__(
         self,
@@ -170,6 +173,10 @@ class Graph:
 
     def __setattr__(self, *_):
         raise AttributeError("Graph is immutable")
+
+    def __getstate__(self):
+        # the view is a cache, rebuilt on first use after a copy
+        return None, {name: getattr(self, name) for name in self.__slots__ if name != "_view"}
 
     def __setstate__(self, state):
         # pickling and copying restore each slot by assignment, which
@@ -210,6 +217,22 @@ class Graph:
 
     def edge_count(self) -> int:
         return self._m
+
+    def contracted_view(self) -> Optional[tuple[Graph, tuple[int, ...], tuple[int, ...]]]:
+        """(view, keep, stands), the graph with its long degree-2 paths
+        shortened, or None if it has none.  Each maximal path z1..zk of
+        k >= 3 degree-2 vertices becomes z1 - zk, its ends keeping their
+        edges, and a cycle of four or more degree-2 vertices is read as
+        such a path from one of its vertices round to itself, so it
+        becomes a triangle.  `keep[v]` is the view vertex standing for v,
+        and `stands[u]` the mask of the vertices view vertex u stands for:
+        z1 for z1..z(k-1), every other vertex for itself, so the masks
+        partition the vertex set."""
+        try:
+            return self._view
+        except AttributeError:
+            object.__setattr__(self, "_view", _contract(self._nbrs))
+            return self._view
 
     # -- vertex sets -------------------------------------------------------
 
@@ -262,6 +285,45 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count()})"
+
+
+def _contract(nbrs: Sequence[tuple[int, ...]]):
+    """`Graph.contracted_view` of the graph with neighbor lists `nbrs`, in
+    O(n + m): each path is walked once, from an end of another degree, and
+    each cycle left over from one of its vertices."""
+    n = len(nbrs)
+    seen = bytearray(n)
+    chains = []
+    for cycles in (False, True):
+        for a in range(n):
+            if seen[a] or (len(nbrs[a]) == 2) != cycles:
+                continue
+            seen[a] = 1
+            for w in nbrs[a]:
+                prev, chain = a, []
+                while len(nbrs[w]) == 2 and not seen[w]:
+                    seen[w] = 1
+                    chain.append(w)
+                    x, y = nbrs[w]
+                    prev, w = w, y if x == prev else x
+                if len(chain) > 2:
+                    chains.append(chain)
+    if not chains:
+        return None
+    keep = list(range(n))
+    for chain in chains:
+        for v in chain[1:-1]:
+            keep[v] = chain[0]
+    kept = [v for v in range(n) if keep[v] == v]
+    index = dict(zip(kept, range(len(kept))))
+    keep = [index[u] for u in keep]
+    stands = [0] * len(kept)
+    for v in range(n):
+        stands[keep[v]] |= 1 << v
+    # through keep, the edges within z1..z(k-1) become loops, dropped here,
+    # and the edge from z(k-1) to zk becomes z1 - zk
+    edges = [(keep[v], keep[w]) for v in range(n) for w in nbrs[v] if keep[v] < keep[w]]
+    return Graph(len(kept), edges), tuple(keep), tuple(stands)
 
 
 # -- construction and I/O ----------------------------------------------------

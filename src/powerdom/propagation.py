@@ -15,22 +15,40 @@ the reference chain the closures are tested against.  The index kernel
 walks neighbor-index tuples instead, with a `bytearray` of monitored flags
 and, per vertex, a count of its unmonitored neighbors, so each edge is
 touched a bounded number of times.  The traces, `classify`'s first
-closure and `is_pds` on large sparse graphs use it.  Its closure `_close`
-walks paths: a forced vertex of degree 2 forces its far neighbor at once,
-with no worklist round trip, which halves the closure on path:300,
-cycle:200 and the gadget, where nearly every vertex has degree 2.  Its
-set-up walks the smaller side of step 0: the monitored vertices when s has
-at most n/2 members, the unmonitored ones otherwise, so the near-complete
-lifted sets of the reduction gadget set up in the time of a small set.
-The members' side first copies all n degree counts, about 4.7 us on the
-n = 994 gadget, so its set-up is not sublinear in n.
+closure and `is_pds` on large sparse graphs use it.  Its set-up walks the
+smaller side of step 0: the monitored vertices when s has at most n/2
+members, the unmonitored ones otherwise, so the near-complete lifted sets
+of the reduction gadget set up in the time of a small set.  The members'
+side first copies all n degree counts, about 4.7 us on the n = 994
+gadget, so its set-up is not sublinear in n.
 
 The traces keep simultaneous rounds: every vertex that can force at the
 start of a round forces in it, so their steps are those of
 `run_chain_bits` and comparable across implementations using the same
 convention.  A closure alone is order-free, since its fixed point is
-unique, so `_close` forces from a worklist in any order, and along a path
-of degree-2 vertices first.
+unique, so `_close` forces from a worklist in any order.
+
+`classify`'s first closure and `is_pds` on the index kernel run on the
+graph's contracted view (`Graph.contracted_view`) when it has one and s
+has at most n/2 members (a larger s is set up from the vertices outside
+N[s], a walk that costs about as much as closing them on the graph): each
+path of k >= 3 degree-2 vertices z1..zk between ends a and b is shortened
+to a - z1 - zk - b, and a cycle of four or more of them to a triangle; s is
+mapped onto the view, and a monitored z1 stands for z1..z(k-1).  The
+closure is exact because such a path is monitored whole or not at all: a
+path vertex in the closure of N[s] has a monitored neighbor (a member of
+s, or the vertex that forced it), so at the fixed point its other
+neighbor is monitored too, and so on along the path to both ends.  The
+path fills only when s holds one of its vertices or ends, or when an end
+forces into it, and a path of two vertices does the same, so the fixed
+points of the graph and of the view match.  A path from a round to a
+itself keeps two vertices, so that a still counts two unmonitored
+neighbors on it.  path:300 closes on 4 vertices, cycle:200 on 3 and the
+n = 994 gadget on 58; grid, ladder and kxp graphs have no such path and
+close on the graph itself.  s stalls on the graph only if it stalls on
+the view, but not conversely, since the view's step 0 may hold a whole
+path of which N[s] holds part; so when the view stalls, `classify`
+compares the closure with N[s] on the graph.
 
 The solver scan and `classify`'s maximal-stalling loop keep the bitmask
 kernel: they grow each closure from one that is already a fixed point, and
@@ -42,18 +60,21 @@ so `classify` gives each one round first.
 
 `is_pds` runs the index kernel on graphs of more than 30 vertices and
 average degree at most 6 (2m <= 6n), and `fixpoint_bits(N[s]) == V` on
-the others, where the bitmask kernel is faster.  The index kernel's time
-over the bitmask kernel's (median of 15 interleaved passes over 48 seeded
-sets of 1 to 8 vertices, Python 3.11, 2-vCPU Xeon):
+the others, where the bitmask kernel is faster unless the graph is
+mostly long paths, as path:30 is.  The index kernel's time, on the view
+where the graph has one, over the bitmask kernel's (median of 15
+interleaved passes over 48 seeded sets of 1 to 8 vertices, Python 3.11,
+2-vCPU Xeon):
 
-    large sparse  path:300 0.28, gadget 0.25, cycle:200 0.31, grid:10,10 0.87,
-                  kxp:5,20 1.08
-    n <= 30       path:30 0.81, grid:5,6 1.21, ladder:12 1.27, kxp:5,6 1.53
-    dense         kxp:6,6 1.22, kxp:10,10 1.48, kmn:16,16 1.81, complete:100 8.0
+    large sparse  path:300 0.03, gadget 0.05, cycle:200 0.04, grid:10,10 0.87,
+                  kxp:5,20 1.04
+    n <= 30       path:30 0.38, grid:5,6 1.14, ladder:12 1.12, kxp:5,6 1.45
+    dense         kxp:6,6 1.14, kxp:10,10 1.37, kmn:16,16 1.79, complete:100 7.9
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import NamedTuple, Sequence
 
 from .graphs import (Graph, VertexSet, _unchecked_vertex_set, check_universe,
@@ -217,10 +238,7 @@ def _start(g: Graph, s: VertexSet, dominate: bool):
 def _close(nbrs, mon: bytearray, left: list[int], todo: list[int]) -> int:
     """Force to the fixed point, one vertex at a time in any order; returns
     the number of vertices forced.  `todo` must hold every monitored vertex
-    that has exactly one unmonitored neighbor.  A forced vertex w of degree
-    2 can only force its far neighbor v, so while v is unmonitored w forces
-    it at once, with no round trip through `todo`; the fixed point is
-    unique, so this order gives the same closure."""
+    that has exactly one unmonitored neighbor."""
     forced = 0
     while todo:
         u = todo.pop()
@@ -231,28 +249,23 @@ def _close(nbrs, mon: bytearray, left: list[int], todo: list[int]) -> int:
                 break
         mon[w] = 1
         forced += 1
-        ends = nbrs[w]
-        while len(ends) == 2:  # u forced w; v is w's far neighbor
-            v, x = ends
-            if v == u:
-                v = x
-            left[u] -= 1
-            left[v] -= 1
-            if mon[v]:
-                if left[v] == 1:
-                    todo.append(v)
-                break
-            mon[v] = 1
-            forced += 1
-            u, w = w, v
-            ends = nbrs[w]
-        else:
-            todo.append(w)
-            for x in ends:
-                left[x] -= 1
-                if left[x] == 1 and mon[x]:
-                    todo.append(x)
+        todo.append(w)
+        for x in nbrs[w]:
+            left[x] -= 1
+            if left[x] == 1 and mon[x]:
+                todo.append(x)
     return forced
+
+
+def _onto(view, s: VertexSet) -> VertexSet:
+    """The vertices of the contracted view `view` that stand for a member
+    of s (see `Graph.contracted_view`)."""
+    bits, rest, keep = 0, s.bits, view[1]
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        bits |= 1 << keep[low.bit_length() - 1]
+    return _unchecked_vertex_set(view[0].n, bits)
 
 
 def _mask(mon: bytearray) -> int:
@@ -309,6 +322,10 @@ def is_pds(g: Graph, s: VertexSet) -> bool:
     """Whether the power-domination chain of s reaches every vertex, on the
     kernel the module docstring's rule picks for g."""
     if g.n > 30 and 2 * g.edge_count() <= 6 * g.n:
+        view = g.contracted_view() if 2 * len(s) <= g.n else None
+        if view is not None:
+            check_universe(g, s)
+            g, s = view[0], _onto(view, s)
         nbrs, mon, left, todo, step0 = _start(g, s, True)
         return step0.bit_count() + _close(nbrs, mon, left, todo) == g.n
     start = closed_neighborhood(g, s).bits
@@ -344,9 +361,19 @@ def classify(g: Graph, s: VertexSet) -> Classification:
     closures run."""
     adj = g.adjacency_masks()
     full = (1 << g.n) - 1
-    nbrs, mon, left, todo, step0 = _start(g, s, True)
-    spds = not _close(nbrs, mon, left, todo)
-    monitored = step0 if spds else _mask(mon)
+    view = g.contracted_view() if 2 * len(s) <= g.n else None
+    if view is None:
+        nbrs, mon, left, todo, step0 = _start(g, s, True)
+        spds = not _close(nbrs, mon, left, todo)
+        monitored = step0 if spds else _mask(mon)
+    else:
+        check_universe(g, s)
+        nbrs, mon, left, todo, _ = _start(view[0], _onto(view, s), True)
+        forced = _close(nbrs, mon, left, todo)
+        monitored = sum(compress(view[2], mon))  # disjoint masks: sum is union
+        # s stalls on g only if it stalls on the view, not conversely: the
+        # view's step 0 may hold a whole path of which N[s] holds part
+        spds = not forced and monitored == closed_neighborhood_bits(adj, s.bits)
     pds = monitored == full
     properly = spds and monitored != full
     maximal = False

@@ -376,3 +376,19 @@ def random_connected_graph(rng: random.Random, n: int, p: float = 0.4):
             if rng.random() < p:
                 edges.add((u, v))
     return n, sorted(edges)
+
+
+def with_path(n, edges, k, ends=()):
+    """The graph (n, edges) with k new vertices n, ..., n + k - 1 on a path,
+    its first vertex joined to ends[0] and its last to ends[-1]: ends
+    (a, b) runs it from a to b (from a round to a itself when a == b),
+    (a,) hangs it from a, and () leaves it apart.  Returns (n + k, edges)."""
+    chain = [*ends[:1], *range(n, n + k), *ends[1:]]
+    return n + k, list(edges) + list(zip(chain, chain[1:]))
+
+
+def relabelled(rng: random.Random, n, edges):
+    """The graph (n, edges) with its vertices renumbered at random."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return n, [(perm[u], perm[v]) for u, v in edges]

@@ -101,6 +101,15 @@ def test_immutable_types_pickle_and_copy(copy_of):
     assert h.adjacency_lists() == g.adjacency_lists() and h.degrees() == g.degrees()
     with pytest.raises(AttributeError):
         h.n = 4
+    # a built view is a cache: it is left out of the state, and a copy
+    # builds its own on first use
+    p = Graph(6, [(i, i + 1) for i in range(5)])
+    view = p.contracted_view()
+    assert view[0].n == 4
+    assert pickle.dumps(p) == pickle.dumps(Graph(6, [(i, i + 1) for i in range(5)]))
+    q = copy_of(p)
+    assert q == p and hash(q) == hash(p) and q.edge_count() == 5
+    assert q.contracted_view() == view
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from powerdom import (
+    Classification,
     Graph,
     VertexSet,
     build_reduction,
@@ -585,10 +586,12 @@ def test_is_pds_refuses_a_set_from_another_universe_on_either_kernel(n, d):
         is_pds(path(n), VertexSet.of(n + d, [n + d - 1]))
 
 
-# -- degree-2 walks of the index kernel's closure ----------------------------
+# -- degree-2 paths and the contracted view ---------------------------------
 #
-# `_close` forces along a vertex of degree 2 at once, so graphs made mostly
-# of such vertices take that walk for almost every vertex they force.
+# `classify`'s first closure, and `is_pds` on the index kernel, close on
+# `Graph.contracted_view`, which shortens every path of three or more
+# degree-2 vertices to two, so graphs made mostly of such vertices close on
+# a few vertices.
 
 
 def subdivided(n: int, edges, inner) -> Graph:
@@ -613,7 +616,9 @@ def spider(*legs: int) -> Graph:
 
 
 def walk_agrees(g: Graph, s: VertexSet) -> None:
-    """`agrees_with_bitmask_kernel`, and the closure against the oracle."""
+    """`agrees_with_bitmask_kernel`, and the closures of `is_pds` and
+    `classify`, taken on the contracted view where g has one, against the
+    oracle's chain on g itself."""
     agrees_with_bitmask_kernel(g, s)
     closure = oracles.pd_chain(g.n, g.edges(), s.members())[-1]
     assert is_pds(g, s) == (len(closure) == g.n)
@@ -660,12 +665,12 @@ def test_subdivided_random_graphs_agree_with_bitmask_kernel():
 @pytest.mark.parametrize(
     "g, members, pds",
     [
-        # N[{0}] = {199, 0, 1}: one walk from 1 runs round the cycle to 198
+        # N[{0}] = {199, 0, 1} forces round the cycle, a triangle in the view
         (cycle(200), [0], True),
-        # two walks meet: the one from 6 stops at 29, in N[30]
+        # the forcing from N[5] and from N[30] meets between them
         (path(41), [5, 30], True),
         # N[1] monitors the center 0, which keeps two unmonitored
-        # neighbors; the walk up the leg 41..22 brings it down to one, so
+        # neighbors; forcing up the leg 41..22 brings it down to one, so
         # the center forces the leg 2..21
         (spider(1, 20, 20), [1, 41], True),
         # with a fourth leg the center's count stops at two
@@ -694,8 +699,9 @@ class CountedPops(list):
 
 
 def test_degree_two_walks_skip_the_worklist(monkeypatch):
-    # from {0} on path:300 and cycle:200 one walk forces every vertex left:
-    # the worklist is popped for its few set-up entries, not per vertex
+    # path:300 and cycle:200 close on views of 4 and 3 vertices: from {0}
+    # the worklist is popped a few times, where closing on the graph
+    # itself pops it once per vertex forced, hundreds of times
     start, worklists = propagation._start, []
 
     def counted(*args):
@@ -709,6 +715,121 @@ def test_degree_two_walks_skip_the_worklist(monkeypatch):
         assert is_pds(g, g.vertex_set([0])) and classify(g, g.vertex_set([0])).is_pds
     assert len(worklists) == 4
     assert all(todo.pops < 5 for todo in worklists), [todo.pops for todo in worklists]
+
+
+@pytest.mark.parametrize(
+    "spec, size",
+    [("path:300", 4), ("cycle:200", 3), ("gadget", 58),
+     ("grid:10,10", None), ("ladder:50", None), ("kxp:5,20", None)],
+)
+def test_contracted_view_sizes(spec, size):
+    # path:300 keeps its two leaves and its first and last inner vertex,
+    # cycle:200 becomes a triangle, each of the gadget's 12 pendant paths
+    # keeps 3 of its 81 vertices; the other stream graphs have no view
+    g = named_graph(spec)
+    assert view_size(g) == (size or g.n)
+
+
+def view_size(g: Graph) -> int:
+    """The number of vertices of g's contracted view, or g.n if it has
+    none, once the view is checked to partition g's vertices."""
+    view = g.contracted_view()
+    if view is None:
+        return g.n
+    h, keep, stands = view
+    assert len(keep) == g.n and len(stands) == h.n
+    # the masks partition V, and each vertex maps to the mask holding it
+    union = 0
+    for mask in stands:
+        union |= mask
+    assert union == (1 << g.n) - 1 and sum(m.bit_count() for m in stands) == g.n
+    assert all(stands[keep[v]] >> v & 1 for v in range(g.n))
+    # a view vertex has the degree of the vertices it stands for, so no
+    # two edges of the view fell together
+    for u, mask in enumerate(stands):
+        assert h.degree(u) == g.degree((mask & -mask).bit_length() - 1)
+    return h.n
+
+
+K4 = (4, [(u, v) for u in range(4) for v in range(u)])
+TWO_K4 = (8, K4[1] + [(u + 4, v + 4) for u, v in K4[1]])
+
+
+def theta(*lengths: int):
+    """Vertices 0 and 1 joined by one path of each given length."""
+    n, edges = 2, []
+    for k in lengths:
+        n, edges = oracles.with_path(n, edges, k, (0, 1))
+    return n, edges
+
+
+def lone_cycle(n, edges, k: int):
+    """(n, edges) beside a cycle of k new vertices."""
+    return oracles.with_path(*oracles.with_path(n, edges, 1), k - 1, (n, n))
+
+
+# name -> (graph, how many vertices its view drops): a path of k >= 3
+# degree-2 vertices keeps 2, a cycle of k >= 4 degree-2 vertices keeps 3
+VIEW_SHAPES = {
+    **{f"returning path {k}": (oracles.with_path(*K4, k, (0, 0)), max(k - 2, 0))
+       for k in (2, 3, 4, 5)},
+    **{f"cycle {k}": (lone_cycle(0, [], k), max(k - 3, 0)) for k in (3, 4, 5)},
+    **{f"cycle {k} beside K4": (lone_cycle(*K4, k), max(k - 3, 0)) for k in (3, 4, 5)},
+    "theta 1,2,3": (theta(1, 2, 3), 1),
+    "theta 3,3,3": (theta(3, 3, 3), 3),
+    "theta 1,4,6": (theta(1, 4, 6), 6),
+    **{f"ends adjacent {k}": (oracles.with_path(*K4, k, (0, 1)), max(k - 2, 0))
+       for k in (1, 2, 3, 5)},
+    # k vertices hung from 0, the last a leaf: k - 1 of degree 2
+    **{f"pendant {k}": (oracles.with_path(*K4, k, (0,)), max(k - 3, 0))
+       for k in (1, 2, 3, 4, 7)},
+    **{f"bridge {k}": (oracles.with_path(*TWO_K4, k, (0, 4)), max(k - 2, 0))
+       for k in (1, 2, 3)},
+}
+# each shape again with a pendant path of 30 from vertex 1, so n > 30 and
+# `is_pds` takes the index kernel too
+VIEW_SHAPES.update({
+    f"{name} + pendant 30": (oracles.with_path(n, edges, 30, (1,)), drops + 27)
+    for name, ((n, edges), drops) in list(VIEW_SHAPES.items())
+})
+
+
+def reference_classification(g: Graph, s: VertexSet) -> Classification:
+    """`classify`'s verdicts from `fixpoint_bits`, its closure checked
+    against the oracle's chain."""
+    adj, full = g.adjacency_masks(), (1 << g.n) - 1
+    step0 = closed_neighborhood_bits(adj, s.bits)
+    closure = fixpoint_bits(adj, step0)
+    chain = oracles.pd_chain(g.n, g.edges(), s.members())
+    assert closure == sum(1 << v for v in chain[-1])
+    spds = closure == step0
+    maximal = spds and all(
+        fixpoint_bits(adj, closed_neighborhood_bits(adj, s.bits | 1 << v)) == full
+        for v in range(g.n)
+        if v not in s
+    )
+    return Classification(is_pds=closure == full, is_fpds=closure != full,
+                          is_spds=spds, properly_stalled=spds and closure != full,
+                          maximally_stalled=maximal, monitored=VertexSet(g.n, closure))
+
+
+@pytest.mark.parametrize("name", VIEW_SHAPES)
+def test_contracted_view_agrees_with_references(name):
+    # vertices renumbered at random, so no path runs along consecutive
+    # indices; every set of a graph of at most 9 vertices, otherwise sets
+    # on both sides of n/2, above which the closure runs on g itself
+    (n, edges), drops = VIEW_SHAPES[name]
+    rng = random.Random(f"view {name}")
+    g = Graph(*oracles.relabelled(rng, n, edges))
+    assert view_size(g) == g.n - drops
+    if g.n <= 9:
+        sets = [VertexSet(g.n, bits) for bits in range(1 << g.n)]
+    else:
+        sets = sets_across_the_halfway_switch(g, rng)
+    for s in sets:
+        want = reference_classification(g, s)
+        assert is_pds(g, s) == want.is_pds
+        assert classify(g, s) == want
 
 
 @pytest.mark.parametrize(
