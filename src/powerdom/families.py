@@ -46,13 +46,19 @@ def _kmn(m: int, n: int) -> Graph:
 
 
 def _grid(m: int, n: int) -> Graph:
-    g = cartesian_product(_path(m), _path(n))
-    if m <= 10 and n <= 10:
-        # figure-style coordinate labels: "cd" = column c (first path index),
-        # row d (second path index)
-        labels = [f"{c}{d}" for c in range(m) for d in range(n)]
-        return Graph(g.n, g.edges(), labels=labels)
-    return g
+    if m > 10 or n > 10:
+        return cartesian_product(_path(m), _path(n))
+    # figure-style coordinate labels: "cd" = column c (first path index),
+    # row d (second path index), at index c * n + d; the edges in the order
+    # of `Graph.edges`, so each neighbor list is ascending
+    edges = []
+    for v in range(m * n):
+        if (v + 1) % n:  # not the last of its column
+            edges.append((v, v + 1))
+        if v + n < m * n:
+            edges.append((v, v + n))
+    labels = [f"{c}{d}" for c in range(m) for d in range(n)]
+    return Graph(m * n, edges, labels=labels)
 
 
 def _fan_chord(n: int, i: int, k: int, plus: bool = False) -> Graph:

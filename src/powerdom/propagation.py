@@ -14,13 +14,13 @@ that forced in the round before; `run_chain_bits` keeps no forcers and is
 the reference chain the closures are tested against.  The index kernel
 walks neighbor-index tuples instead, with a `bytearray` of monitored flags
 and, per vertex, a count of its unmonitored neighbors, so each edge is
-touched a bounded number of times.  The traces, `classify`'s first
-closure and `is_pds` on large sparse graphs use it.  Its set-up walks the
-smaller side of step 0: the monitored vertices when s has at most n/2
-members, the unmonitored ones otherwise, so the near-complete lifted sets
-of the reduction gadget set up in the time of a small set.  The members'
-side first copies all n degree counts, about 4.7 us on the n = 994
-gadget, so its set-up is not sublinear in n.
+touched a bounded number of times.  The traces use it, and so does the
+closure of N[s] on large sparse graphs, by the rule below.  Its set-up
+walks the smaller side of step 0: the monitored vertices when s has at
+most n/2 members, the unmonitored ones otherwise, so the near-complete
+lifted sets of the reduction gadget set up in the time of a small set.
+The members' side first copies all n degree counts, about 4.7 us on the
+n = 994 gadget, so its set-up is not sublinear in n.
 
 The traces keep simultaneous rounds: every vertex that can force at the
 start of a round forces in it, so their steps are those of
@@ -28,27 +28,39 @@ start of a round forces in it, so their steps are those of
 convention.  A closure alone is order-free, since its fixed point is
 unique, so `_close` forces from a worklist in any order.
 
-`classify`'s first closure and `is_pds` on the index kernel run on the
-graph's contracted view (`Graph.contracted_view`) when it has one and s
-has at most n/2 members (a larger s is set up from the vertices outside
-N[s], a walk that costs about as much as closing them on the graph): each
-path of k >= 3 degree-2 vertices z1..zk between ends a and b is shortened
-to a - z1 - zk - b, and a cycle of four or more of them to a triangle; s is
-mapped onto the view, and a monitored z1 stands for z1..z(k-1).  The
-closure is exact because such a path is monitored whole or not at all: a
-path vertex in the closure of N[s] has a monitored neighbor (a member of
-s, or the vertex that forced it), so at the fixed point its other
-neighbor is monitored too, and so on along the path to both ends.  The
-path fills only when s holds one of its vertices or ends, or when an end
-forces into it, and a path of two vertices does the same, so the fixed
-points of the graph and of the view match.  A path from a round to a
-itself keeps two vertices, so that a still counts two unmonitored
-neighbors on it.  path:300 closes on 4 vertices, cycle:200 on 3 and the
-n = 994 gadget on 58; grid, ladder and kxp graphs have no such path and
-close on the graph itself.  s stalls on the graph only if it stalls on
-the view, but not conversely, since the view's step 0 may hold a whole
-path of which N[s] holds part; so when the view stalls, `classify`
-compares the closure with N[s] on the graph.
+`is_pds` and `classify`'s first closure close N[s] in one routine,
+`_closure`, by one rule.  The graph closed on is the contracted view
+(`Graph.contracted_view`) when the graph has one and s has at most n/2
+members, and the graph itself otherwise; a larger s is set up from the
+vertices outside N[s], a walk that costs about as much as closing them on
+the graph.  On the graph closed on, the index kernel runs when it has more
+than 30 vertices and average degree at most 6 (2m <= 6n), and the bitmask
+kernel otherwise.  In the view each path of k >= 3 degree-2 vertices
+z1..zk between ends a and b is shortened to a - z1 - zk - b, and a cycle
+of four or more of them to a triangle; s is mapped onto the view, and a
+monitored z1 stands for z1..z(k-1).  The closure is exact because such a
+path is monitored whole or not at all: a path vertex in the closure of
+N[s] has a monitored neighbor (a member of s, or the vertex that forced
+it), so at the fixed point its other neighbor is monitored too, and so on
+along the path to both ends.  The path fills only when s holds one of its
+vertices or ends, or when an end forces into it, and a path of two
+vertices does the same, so the fixed points of the graph and of the view
+match.  A path from a round to a itself keeps two vertices, so that a
+still counts two unmonitored neighbors on it.  s stalls on the graph only
+if it stalls on the view, but not conversely, since the view's step 0 may
+hold a whole path of which N[s] holds part; so when the view stalls, the
+closure is compared with N[s] on the graph.  The index kernel's time over
+the bitmask kernel's on the graph closed on, whose vertex count is in
+parentheses (grid, ladder and kxp graphs have no view; median of 15
+interleaved passes over 48 seeded sets of 1 to 8 vertices, Python 3.11,
+2-vCPU Xeon):
+
+    index    the n = 994 gadget (58) 0.96, grid:10,10 (100) 0.88,
+             ladder:50 (100) 0.83, kxp:5,20 (100) 1.00
+    bitmask  path:300 (4) 1.68, cycle:200 (3) 1.78, path:30 (4) 1.69,
+             ladder:12 (24) 1.27, grid:5,6 (30) 1.31, kxp:5,6 (30) 1.55,
+             kxp:6,6 (36) 1.13, kmn:16,16 (32) 1.81, kmn:20,20 (40) 2.13,
+             kxp:10,10 (100) 1.41, complete:100 (100) 7.8
 
 The solver scan and `classify`'s maximal-stalling loop keep the bitmask
 kernel: they grow each closure from one that is already a fixed point, and
@@ -57,19 +69,6 @@ where the index kernel would copy or rebuild its counters for every set
 tried, which a prototype of each measured slower.  A failing augmentation
 N[s + v] usually stalls at once and a succeeding one runs the whole chain,
 so `classify` gives each one round first.
-
-`is_pds` runs the index kernel on graphs of more than 30 vertices and
-average degree at most 6 (2m <= 6n), and `fixpoint_bits(N[s]) == V` on
-the others, where the bitmask kernel is faster unless the graph is
-mostly long paths, as path:30 is.  The index kernel's time, on the view
-where the graph has one, over the bitmask kernel's (median of 15
-interleaved passes over 48 seeded sets of 1 to 8 vertices, Python 3.11,
-2-vCPU Xeon):
-
-    large sparse  path:300 0.03, gadget 0.05, cycle:200 0.04, grid:10,10 0.87,
-                  kxp:5,20 1.04
-    n <= 30       path:30 0.38, grid:5,6 1.14, ladder:12 1.12, kxp:5,6 1.45
-    dense         kxp:6,6 1.14, kxp:10,10 1.37, kmn:16,16 1.79, complete:100 7.9
 """
 
 from __future__ import annotations
@@ -78,7 +77,7 @@ from itertools import compress
 from typing import NamedTuple, Sequence
 
 from .graphs import (Graph, VertexSet, _unchecked_vertex_set, check_universe,
-                     closed_neighborhood, closed_neighborhood_bits)
+                     closed_neighborhood_bits)
 
 POWER_DOMINATION = "power-domination"
 ZERO_FORCING = "zero-forcing"
@@ -187,6 +186,7 @@ class Classification(NamedTuple):
 # `mon[v]` is 1 once v is monitored and `left[v]` counts v's unmonitored
 # neighbors, so v can force exactly when mon[v] == 1 and left[v] == 1.
 
+# reversed and translated to digits, the flags read as a mask in base 2
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
@@ -257,22 +257,6 @@ def _close(nbrs, mon: bytearray, left: list[int], todo: list[int]) -> int:
     return forced
 
 
-def _onto(view, s: VertexSet) -> VertexSet:
-    """The vertices of the contracted view `view` that stand for a member
-    of s (see `Graph.contracted_view`)."""
-    bits, rest, keep = 0, s.bits, view[1]
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        bits |= 1 << keep[low.bit_length() - 1]
-    return _unchecked_vertex_set(view[0].n, bits)
-
-
-def _mask(mon: bytearray) -> int:
-    """The monitored flags as a bitmask, bit v for vertex v."""
-    return int(mon[::-1].translate(_DIGITS) or b"0", 2)
-
-
 def _trace(g: Graph, kind: str, s: VertexSet) -> PropagationTrace:
     """The chain in simultaneous rounds: every vertex that can force at the
     start of a round forces in it, as in `run_chain_bits`."""
@@ -318,18 +302,48 @@ def zero_forcing_fixpoint(g: Graph, s: VertexSet) -> PropagationTrace:
     return _trace(g, ZERO_FORCING, s)
 
 
+def _closure(g: Graph, s: VertexSet, verdicts: bool):
+    """The closure of N[s] by the module docstring's rule: whether it is
+    all of V, or with `verdicts` the closure as a mask on g and whether s
+    stalls."""
+    check_universe(g, s)
+    view = g.contracted_view() if 2 * s.bits.bit_count() <= g.n else None
+    h, t = g, s
+    if view is not None:  # t: the view vertices standing for a member of s
+        h, keep, stands = view
+        bits, rest = 0, s.bits
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            bits |= 1 << keep[low.bit_length() - 1]
+        t = _unchecked_vertex_set(h.n, bits)
+    if h.n > 30 and 2 * h.edge_count() <= 6 * h.n:
+        nbrs, mon, left, todo, step0 = _start(h, t, True)
+        forced = _close(nbrs, mon, left, todo)
+        if not verdicts:
+            return step0.bit_count() + forced == h.n
+        if view is None:
+            return (int(mon[::-1].translate(_DIGITS), 2) if forced else step0), not forced
+        # the stands masks are disjoint, so their sum is their union
+        closure, stalled = sum(compress(stands, mon)), not forced
+    else:
+        adj = h.adjacency_masks()
+        step0 = closed_neighborhood_bits(adj, t.bits)
+        closure = fixpoint_bits(adj, step0)
+        if not verdicts:
+            return closure == (1 << h.n) - 1
+        if view is None:
+            return closure, closure == step0
+        stalled = closure == step0
+        closure = sum(m for v, m in enumerate(stands) if closure >> v & 1)
+    # s stalls on g only if it stalls on the view, not conversely: the
+    # view's step 0 may hold a whole path of which N[s] holds part
+    return closure, stalled and closure == closed_neighborhood_bits(g.adjacency_masks(), s.bits)
+
+
 def is_pds(g: Graph, s: VertexSet) -> bool:
-    """Whether the power-domination chain of s reaches every vertex, on the
-    kernel the module docstring's rule picks for g."""
-    if g.n > 30 and 2 * g.edge_count() <= 6 * g.n:
-        view = g.contracted_view() if 2 * len(s) <= g.n else None
-        if view is not None:
-            check_universe(g, s)
-            g, s = view[0], _onto(view, s)
-        nbrs, mon, left, todo, step0 = _start(g, s, True)
-        return step0.bit_count() + _close(nbrs, mon, left, todo) == g.n
-    start = closed_neighborhood(g, s).bits
-    return fixpoint_bits(g.adjacency_masks(), start) == (1 << g.n) - 1
+    """Whether the power-domination chain of s reaches every vertex."""
+    return _closure(g, s, False)
 
 
 def _stalls_at_once(adj: Sequence[int], closed: int, outside: int, full: int) -> bool:
@@ -361,19 +375,7 @@ def classify(g: Graph, s: VertexSet) -> Classification:
     closures run."""
     adj = g.adjacency_masks()
     full = (1 << g.n) - 1
-    view = g.contracted_view() if 2 * len(s) <= g.n else None
-    if view is None:
-        nbrs, mon, left, todo, step0 = _start(g, s, True)
-        spds = not _close(nbrs, mon, left, todo)
-        monitored = step0 if spds else _mask(mon)
-    else:
-        check_universe(g, s)
-        nbrs, mon, left, todo, _ = _start(view[0], _onto(view, s), True)
-        forced = _close(nbrs, mon, left, todo)
-        monitored = sum(compress(view[2], mon))  # disjoint masks: sum is union
-        # s stalls on g only if it stalls on the view, not conversely: the
-        # view's step 0 may hold a whole path of which N[s] holds part
-        spds = not forced and monitored == closed_neighborhood_bits(adj, s.bits)
+    monitored, spds = _closure(g, s, True)
     pds = monitored == full
     properly = spds and monitored != full
     maximal = False

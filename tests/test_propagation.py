@@ -147,8 +147,12 @@ class TestClassify:
         # every S of each graph, against the oracle; a stalled S that is not
         # maximally stalled is decided by the one-round pass when some
         # augmentation stalls at once, and by a closure only when every one
-        # forces, as on the pinned n = 9 graph with S = {5}
+        # forces, as on the pinned n = 9 graph with S = {5}.  The first
+        # closure goes through `fixpoint_bits` on these graphs, so it calls
+        # the unpatched `fixpoint_from` and only the loop's closures count
         closures = count_closures(monkeypatch)
+        monkeypatch.setattr(propagation, "fixpoint_bits",
+                            lambda adj, start: fixpoint_from(adj, 0, start))
         rng = random.Random(23)
         graphs = [oracles.random_graph(rng, rng.randint(1, 8), rng.choice([0.2, 0.35, 0.5]))
                   for _ in range(40)]
@@ -490,27 +494,37 @@ def disjoint_cycles(*lengths: int, isolated: int = 0) -> Graph:
     return Graph(base + isolated, edges)
 
 
-# `is_pds` takes the index kernel when n > 30 and 2m <= 6n; named graphs on
-# both sides of each bound, with the kernel each one takes
+# `is_pds` and `classify` close N[s] on the graph's contracted view when it
+# has one and s has at most n/2 members, otherwise on the graph itself, and
+# take the index kernel when the graph they close on has n > 30 and
+# 2m <= 6n.  Named graphs on both sides of each bound, with the route a set
+# of at most n/2 vertices takes and the route the full set takes: "index",
+# or the number of vertices the bitmask kernel closes on
 KERNEL_ROUTE_GRAPHS = {
-    "path:30": (named_graph("path:30"), "bitmask"),
-    "path:31": (named_graph("path:31"), "index"),
-    "empty:30": (named_graph("empty:30"), "bitmask"),
-    "empty:31": (named_graph("empty:31"), "index"),
-    "cycles 15+15": (disjoint_cycles(15, 15), "bitmask"),
-    "cycles 15+16": (disjoint_cycles(15, 16), "index"),
-    "cycles 14+15 + 3 isolated": (disjoint_cycles(14, 15, isolated=3), "index"),
-    "circulant 30 (2m = 6n)": (circulant(30, (1, 2, 3)), "bitmask"),
-    "circulant 32 (2m = 6n)": (circulant(32, (1, 2, 3)), "index"),
-    "circulant 32 (2m = 6n + 2)": (circulant(32, (1, 2, 3), [(0, 16)]), "bitmask"),
-    "complete:31": (named_graph("complete:31"), "bitmask"),
-    "complete:40": (named_graph("complete:40"), "bitmask"),
-    "kmn:20,20": (named_graph("kmn:20,20"), "bitmask"),
-    "kxp:10,10": (named_graph("kxp:10,10"), "bitmask"),
-    "ladder:12": (named_graph("ladder:12"), "bitmask"),
-    "grid:6,6": (named_graph("grid:6,6"), "index"),
-    "path:300": (named_graph("path:300"), "index"),
-    "gadget": (named_graph("gadget"), "index"),
+    "path:30": (named_graph("path:30"), 4, 30),
+    "path:31": (named_graph("path:31"), 4, "index"),
+    "empty:30": (named_graph("empty:30"), 30, 30),
+    "empty:31": (named_graph("empty:31"), "index", "index"),
+    "cycles 15+15": (disjoint_cycles(15, 15), 6, 30),
+    "cycles 15+16": (disjoint_cycles(15, 16), 6, "index"),
+    "cycles 14+15 + 3 isolated": (disjoint_cycles(14, 15, isolated=3), 9, "index"),
+    # ten triangles in the view, then ten and an isolated vertex
+    "cycles 10 x 5": (disjoint_cycles(*[5] * 10), 30, "index"),
+    "cycles 10 x 5 + 1 isolated": (disjoint_cycles(*[5] * 10, isolated=1), "index", "index"),
+    "circulant 30 (2m = 6n)": (circulant(30, (1, 2, 3)), 30, 30),
+    "circulant 32 (2m = 6n)": (circulant(32, (1, 2, 3)), "index", "index"),
+    "circulant 32 (2m = 6n + 2)": (circulant(32, (1, 2, 3), [(0, 16)]), 32, 32),
+    "complete:31": (named_graph("complete:31"), 31, 31),
+    "complete:40": (named_graph("complete:40"), 40, 40),
+    # a dense view: K40 and a pendant path of 30 kept as two vertices and a leaf
+    "complete:40 + pendant 30": (Graph(*oracles.with_path(40, named_graph("complete:40").edges(),
+                                                          30, (0,))), 43, 70),
+    "kmn:20,20": (named_graph("kmn:20,20"), 40, 40),
+    "kxp:10,10": (named_graph("kxp:10,10"), 100, 100),
+    "ladder:12": (named_graph("ladder:12"), 24, 24),
+    "grid:6,6": (named_graph("grid:6,6"), "index", "index"),
+    "path:300": (named_graph("path:300"), 4, "index"),
+    "gadget": (named_graph("gadget"), "index", "index"),
 }
 
 
@@ -548,42 +562,66 @@ def test_is_pds_on_both_sides_of_the_kernel_rule(name):
         assert is_pds(g, s) == want
 
 
-def test_is_pds_on_random_graphs_around_the_kernel_rule():
-    # n from 28 to 34 at densities on both sides of 2m = 6n, connected or not
+def test_is_pds_on_random_graphs_around_the_kernel_rule(monkeypatch):
+    # n from 28 to 34 at densities on both sides of 2m = 6n, connected or
+    # not; both kernels run, each on g and on a view
     rng = random.Random(30)
-    routes = set()
+    calls, routes = count_fixpoint_bits(monkeypatch), set()
     for _ in range(60):
         n, edges = oracles.random_graph(rng, rng.randint(28, 34), rng.choice([0.05, 0.15, 0.3]))
         g = Graph(n, edges)
-        routes.add(g.n > 30 and 2 * len(edges) <= 6 * g.n)
         adj, full = g.adjacency_masks(), (1 << g.n) - 1
         for s in sets_across_the_halfway_switch(g, rng):
             want = run_chain_bits(adj, closed_neighborhood_bits(adj, s.bits))[-1] == full
+            calls.clear()
             assert is_pds(g, s) == want
-    assert routes == {True, False}
+            view = g.contracted_view() is not None and 2 * len(s) <= g.n
+            routes.add(("bitmask" if calls else "index", view))
+    assert routes == {(kernel, view) for kernel in ("bitmask", "index") for view in (False, True)}
 
 
 @pytest.mark.parametrize("name", KERNEL_ROUTE_GRAPHS)
 def test_is_pds_reaches_fixpoint_bits_only_on_small_or_dense_graphs(monkeypatch, name):
-    """A graph of at most 30 vertices or of average degree above 6 closes
-    through `propagation.fixpoint_bits`, once per call; any other closes on
-    the index kernel, with no such call.  perfbench's traced probe times the
-    propagation layer's fixpoint through the `is_pds(ladder:12)` calls when
-    the workload's own pass makes none, as a classify-stream pass on its
-    large sparse graphs does."""
-    g, kernel = KERNEL_ROUTE_GRAPHS[name]
-    calls = count_fixpoint_bits(monkeypatch)
-    sets = [g.empty_set(), g.vertex_set([0]), g.full_set()]
-    for s in sets:
-        is_pds(g, s)
-    assert len(calls) == (len(sets) if kernel == "bitmask" else 0)
+    """`is_pds` and `classify` close N[s] through `propagation.fixpoint_bits`,
+    once per call, when the graph they close on has at most 30 vertices or
+    average degree above 6, and on the index kernel, with no such call,
+    otherwise; the length of `adj` tells which graph was closed on.
+    perfbench's traced probe times the propagation layer's fixpoint through
+    the `is_pds(ladder:12)` calls, so ladder:12 must stay on this route."""
+    g, small, whole = KERNEL_ROUTE_GRAPHS[name]
+    want = [route for route in (small, small, whole) if route != "index"]
+    for verdict in (is_pds, classify):
+        calls = count_fixpoint_bits(monkeypatch)
+        for s in (g.empty_set(), g.vertex_set([0]), g.full_set()):
+            verdict(g, s)
+        assert [len(adj) for adj, _ in calls] == want, verdict.__name__
 
 
-@pytest.mark.parametrize("n", [30, 31], ids=["bitmask", "index"])
+@pytest.mark.parametrize("name", ["ladder:12", "empty:31", "path:31", "gadget"],
+                         ids=["bitmask", "index", "bitmask on a view", "index on a view"])
 @pytest.mark.parametrize("d", [-1, 1], ids=["smaller", "larger"])
-def test_is_pds_refuses_a_set_from_another_universe_on_either_kernel(n, d):
-    with pytest.raises(ValueError, match="universe size"):
-        is_pds(path(n), VertexSet.of(n + d, [n + d - 1]))
+def test_is_pds_refuses_a_set_from_another_universe_on_either_kernel(name, d):
+    # a one-vertex set of the graph's own universe would take the named
+    # route; `classify` refuses too
+    g = KERNEL_ROUTE_GRAPHS[name][0]
+    for verdict in (is_pds, classify):
+        with pytest.raises(ValueError, match="universe size"):
+            verdict(g, VertexSet.of(g.n + d, [g.n + d - 1]))
+
+
+@pytest.mark.parametrize("n, members, pds", [(0, [], True), (1, [], False), (1, [0], True)],
+                         ids=["n = 0", "n = 1, empty set", "n = 1, full set"])
+def test_graphs_of_zero_and_one_vertex(n, members, pds):
+    # every set stalls at once, and is maximally stalled: the only
+    # augmentation of the empty set of K1 is a PDS
+    g, s = Graph(n), VertexSet.of(n, members)
+    assert is_pds(g, s) is pds
+    assert classify(g, s).to_json_dict() == {
+        "is_pds": pds, "is_fpds": not pds, "is_spds": True,
+        "properly_stalled": not pds, "maximally_stalled": True, "monitored": members}
+    for trace in (monitored_fixpoint, zero_forcing_fixpoint):
+        assert trace(g, s).to_json_dict() == {
+            "kind": trace(g, s).kind, "steps": [members], "stabilized_at": 0}
 
 
 # -- degree-2 paths and the contracted view ---------------------------------
@@ -688,33 +726,19 @@ def test_degree_two_walk_cases(g, members, pds):
     assert is_pds(g, s) == classify(g, s).is_pds == pds
 
 
-class CountedPops(list):
-    """A worklist that counts its pops."""
-
-    pops = 0
-
-    def pop(self, *args):
-        self.pops += 1
-        return super().pop(*args)
-
-
 def test_degree_two_walks_skip_the_worklist(monkeypatch):
-    # path:300 and cycle:200 close on views of 4 and 3 vertices: from {0}
-    # the worklist is popped a few times, where closing on the graph
-    # itself pops it once per vertex forced, hundreds of times
-    start, worklists = propagation._start, []
-
-    def counted(*args):
-        nbrs, mon, left, todo, step0 = start(*args)
-        worklists.append(CountedPops(todo))
-        return nbrs, mon, left, worklists[-1], step0
-
-    monkeypatch.setattr(propagation, "_start", counted)
+    # path:300 and cycle:200 close on views of 4 and 3 vertices, through
+    # `fixpoint_bits`, so no worklist is built; closed on the graph itself,
+    # either would take the index kernel, whose worklist is popped once per
+    # vertex forced, hundreds of times
+    starts = []
+    monkeypatch.setattr(propagation, "_start", lambda *args: starts.append(args))
+    calls = count_fixpoint_bits(monkeypatch)
     for spec in ("path:300", "cycle:200"):
         g = named_graph(spec)
         assert is_pds(g, g.vertex_set([0])) and classify(g, g.vertex_set([0])).is_pds
-    assert len(worklists) == 4
-    assert all(todo.pops < 5 for todo in worklists), [todo.pops for todo in worklists]
+    assert [len(adj) for adj, _ in calls] == [4, 4, 3, 3]
+    assert starts == []
 
 
 @pytest.mark.parametrize(
