@@ -4,9 +4,9 @@ Vertices are dense 0-based indices.  Every vertex subset is a `VertexSet`,
 a thin immutable wrapper over an int bitmask, so set algebra is exact and
 cheap even for graphs with a few hundred vertices.  A graph also keeps each
 vertex's neighbors as a tuple of indices, for kernels that walk edges one
-at a time instead of masking whole vertex sets, and, once a closure asks
-for it, a contracted view in which every long path of degree-2 vertices is
-shortened to two vertices.
+at a time instead of masking whole vertex sets, and, once a closure or a
+trace asks for it, a contracted view in which every long path of degree-2
+vertices is shortened to two vertices, with a table of those paths.
 """
 
 from __future__ import annotations
@@ -132,7 +132,9 @@ class Graph:
     Adjacency is kept twice: as one bitmask per vertex and as one tuple of
     neighbor indices per vertex, with its length as the degree; the edge
     count is kept too.  Labels are optional, cosmetic display strings.
-    `contracted_view` is built on its first call and cached in `_view`.
+    `contracted_view` and `chain_table` are built together on the first
+    call of either and cached in `_view`, which pickles and copies leave
+    out.
     """
 
     __slots__ = ("n", "_adj", "_nbrs", "_deg", "_m", "labels", "_view")
@@ -229,10 +231,23 @@ class Graph:
         z1 for z1..z(k-1), every other vertex for itself, so the masks
         partition the vertex set."""
         try:
-            return self._view
+            return self._view[0]
         except AttributeError:
             object.__setattr__(self, "_view", _contract(self._nbrs))
-            return self._view
+            return self._view[0]
+
+    def chain_table(self) -> Optional[tuple[tuple[tuple[int, ...], ...], tuple]]:
+        """(chains, place), the paths `contracted_view` shortens, or None
+        if it shortens none.  Each chain is the tuple (a, z1, ..., zk, b)
+        of a path's degree-2 vertices between its ends, with a == b for a
+        path from a round to a itself; an end of degree 1 rides along as
+        a vertex of the chain, with None beyond it.  `place[v]` is (i, j)
+        for the vertex v at position j of chain i, None off the chains."""
+        try:
+            return self._view[1]
+        except AttributeError:
+            self.contracted_view()
+            return self._view[1]
 
     # -- vertex sets -------------------------------------------------------
 
@@ -288,32 +303,43 @@ class Graph:
 
 
 def _contract(nbrs: Sequence[tuple[int, ...]]):
-    """`Graph.contracted_view` of the graph with neighbor lists `nbrs`, in
-    O(n + m): each path is walked once, from an end of another degree, and
-    each cycle left over from one of its vertices."""
+    """`Graph.contracted_view` and `Graph.chain_table` of the graph with
+    neighbor lists `nbrs`, in O(n + m): each path is walked once, from an
+    end of another degree, and each cycle left over from one of its
+    vertices, which stays off the chain as both its ends."""
     n = len(nbrs)
     seen = bytearray(n)
-    chains = []
+    paths, chains = [], []
     for cycles in (False, True):
         for a in range(n):
             if seen[a] or (len(nbrs[a]) == 2) != cycles:
                 continue
             seen[a] = 1
             for w in nbrs[a]:
-                prev, chain = a, []
+                prev, path = a, []
                 while len(nbrs[w]) == 2 and not seen[w]:
                     seen[w] = 1
-                    chain.append(w)
+                    path.append(w)
                     x, y = nbrs[w]
                     prev, w = w, y if x == prev else x
-                if len(chain) > 2:
-                    chains.append(chain)
-    if not chains:
-        return None
+                if len(path) > 2:
+                    paths.append(path)
+                    chain = [a, *path, w]
+                    if len(nbrs[a]) == 1:
+                        chain.insert(0, None)
+                    if len(nbrs[w]) == 1:
+                        chain.append(None)
+                    chains.append(tuple(chain))
+    if not paths:
+        return None, None
     keep = list(range(n))
-    for chain in chains:
-        for v in chain[1:-1]:
-            keep[v] = chain[0]
+    for path in paths:
+        for v in path[1:-1]:
+            keep[v] = path[0]
+    place = [None] * n
+    for i, chain in enumerate(chains):
+        for j in range(1, len(chain) - 1):
+            place[chain[j]] = i, j
     kept = [v for v in range(n) if keep[v] == v]
     index = dict(zip(kept, range(len(kept))))
     keep = [index[u] for u in keep]
@@ -323,7 +349,7 @@ def _contract(nbrs: Sequence[tuple[int, ...]]):
     # through keep, the edges within z1..z(k-1) become loops, dropped here,
     # and the edge from z(k-1) to zk becomes z1 - zk
     edges = [(keep[v], keep[w]) for v in range(n) for w in nbrs[v] if keep[v] < keep[w]]
-    return Graph(len(kept), edges), tuple(keep), tuple(stands)
+    return (Graph(len(kept), edges), tuple(keep), tuple(stands)), (tuple(chains), tuple(place))
 
 
 # -- construction and I/O ----------------------------------------------------

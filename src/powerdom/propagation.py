@@ -25,8 +25,31 @@ n = 994 gadget, so its set-up is not sublinear in n.
 The traces keep simultaneous rounds: every vertex that can force at the
 start of a round forces in it, so their steps are those of
 `run_chain_bits` and comparable across implementations using the same
-convention.  A closure alone is order-free, since its fixed point is
-unique, so `_close` forces from a worklist in any order.
+convention.  On the paths of three or more degree-2 vertices that the
+contracted view shortens (`Graph.chain_table`), a trace counts rounds
+instead of running them.  A path vertex forces exactly when it is
+monitored, one of its two neighbors is monitored and the other is not, so
+a gap, a run of L path vertices unmonitored at step 0, fills one vertex a
+round from each end that a front has entered: its vertex d, counting
+from 0 at the first, is monitored in round min(tL + d, tR + L - 1 - d),
+where tL and tR are the rounds in which its first and last vertex are
+forced from outside it.  This is exact because nothing outside a gap sees
+its inner vertices: the gap meets the graph only through its two end
+vertices and their outer neighbors.  So the round loop forces every vertex as before but moves no
+front: a vertex it forces at an end of a gap of two or more only sets tL
+or tR.  A front entering in round t reaches the far end f in round
+t + L - 1 unless a front entered there first; that round goes in as an
+event, in which f's outer neighbor x counts one unmonitored neighbor
+less, and f forces x in the next round if x is unmonitored.  That x is
+off the paths, or a monitored path vertex, which the loop then lets
+force into the gap on its other side once its count drops to one.  A
+leaf at an end of a path joins its chain, since it forces or is forced
+like a path vertex whose other neighbor is always monitored.  The loop
+jumps over rounds in which only fronts move, and at the end each gap
+vertex gets its round by the rule above: the steps take one OR per
+forced vertex, and one OR and one `VertexSet` per round.  A graph with no
+such path runs the plain loop.  A closure alone is order-free, since its
+fixed point is unique, so `_close` forces from a worklist in any order.
 
 `is_pds` and `classify`'s first closure close N[s] in one routine,
 `_closure`, by one rule.  The graph closed on is the contracted view
@@ -73,7 +96,9 @@ so `classify` gives each one round first.
 
 from __future__ import annotations
 
-from itertools import compress
+from bisect import bisect_left
+from itertools import accumulate, compress
+from operator import or_
 from typing import NamedTuple, Sequence
 
 from .graphs import (Graph, VertexSet, _unchecked_vertex_set, check_universe,
@@ -257,11 +282,47 @@ def _close(nbrs, mon: bytearray, left: list[int], todo: list[int]) -> int:
     return forced
 
 
+# the entry round of a gap's side that no front has entered from
+_NEVER = 1 << 62
+
+
+def _gaps(chain, at: list, between: bool, ends: dict, built: list) -> None:
+    """Register in `ends`, under its first and last vertex, and in `built`
+    each gap of the path chain = (a, z1, ..., zk, b): a maximal run
+    zlo..zhi of vertices unmonitored at step 0, as [entry round from below,
+    entry round from above, chain, lo, hi].  `at` holds, in order, the
+    pairs (i, j) of the chain's vertices that `_start` walked: monitored
+    ones, so the gaps lie `between` their positions j, or unmonitored ones,
+    whose runs are the gaps."""
+    spans, x = [], 0
+    if between:
+        for _, y in (*at, (0, len(chain) - 1)):
+            if y - x > 1:
+                spans.append((x + 1, y - 1))
+            x = y
+    else:
+        x = -1
+        for _, y in at:
+            if y - x > 1:
+                spans.append([y, y])
+            else:
+                spans[-1][1] = y
+            x = y
+    for lo, hi in spans:  # a side ending in None is entered by no front
+        ends[chain[lo]] = ends[chain[hi]] = gap = [
+            _NEVER + (chain[lo - 1] is None), _NEVER + (chain[hi + 1] is None), chain, lo, hi]
+        built.append(gap)
+
+
 def _trace(g: Graph, kind: str, s: VertexSet) -> PropagationTrace:
     """The chain in simultaneous rounds: every vertex that can force at the
-    start of a round forces in it, as in `run_chain_bits`."""
+    start of a round forces in it, as in `run_chain_bits`.  On the chains of
+    `Graph.chain_table`, a vertex forced at an end of a gap of two or more
+    vertices starts a front along it, which the round loop follows only by
+    the events at the gap's far end; the gap's vertices get their rounds at
+    the end, by the module docstring's rule."""
     nbrs, mon, left, cand, cur = _start(g, s, kind == POWER_DOMINATION)
-    steps = [cur]
+    steps, events, place, first = [cur], None, None, cand
     while True:
         new = []
         for u in cand:  # every vertex of `cand` is monitored
@@ -272,21 +333,80 @@ def _trace(g: Graph, kind: str, s: VertexSet) -> PropagationTrace:
                 if not mon[w]:
                     mon[w] = 2  # forced in this round, unmonitored until its end
                     new.append(w)
-        if not new:
+        if place is not False and new:
+            if place is None:  # looked up once the loop forces a vertex
+                chains, place = g.chain_table() or (None, False)
+            if place and (fronts := [w for w in new if place[w]]):
+                if events is None:  # the chains' positions that `_start` walked
+                    ends, built, events = {}, [], {}
+                    between = 2 * len(s) <= g.n
+                    walked = first if between else _unchecked_vertex_set(
+                        g.n, ~steps[0] & (1 << g.n) - 1)
+                    at = sorted(filter(None, map(place.__getitem__, walked)))
+                r, started = len(steps), []
+                for w in fronts:
+                    if w not in ends:
+                        i = place[w][0]
+                        _gaps(chains[i], at[bisect_left(at, (i,)):bisect_left(at, (i + 1,))],
+                              between, ends, built)
+                    gap = ends[w]
+                    if gap[3] < gap[4]:  # the loop forces a gap of one vertex itself
+                        side = w != gap[2][gap[3]]  # entered from above
+                        gap[side] = r
+                        mon[w] = 1  # the front moves on by itself
+                        started.append((gap, not side))
+                # a front runs to the far end of its gap unless one comes from there
+                for gap, far in started:
+                    if gap[far] == _NEVER:
+                        events.setdefault(r + gap[4] - gap[3], []).append((gap, far))
+                new = [w for w in new if mon[w] == 2]
+        if new:
+            # a vertex that could force in this round did, and has no
+            # unmonitored neighbor left; the next round's candidates are the
+            # vertices it forced and those whose count it brought down to one
+            more = []
+            for w in new:
+                mon[w] = 1
+                cur |= 1 << w
+                for x in nbrs[w]:
+                    left[x] -= 1
+                    if left[x] == 1 and mon[x] == 1:
+                        more.append(x)
+            steps.append(cur)
+        elif events:  # only fronts move until the next event
+            more = []
+            steps += [cur] * (min(events) + 1 - len(steps))
+        else:
             break
-        # a vertex that could force in this round did, and has no
-        # unmonitored neighbor left; the next round's candidates are the
-        # vertices it forced and those whose count it brought down to one
-        more = []
-        for w in new:
-            mon[w] = 1
-            cur |= 1 << w
-            for x in nbrs[w]:
-                left[x] -= 1
-                if left[x] == 1 and mon[x] == 1:
-                    more.append(x)
+        if events:
+            r = len(steps) - 1
+            for gap, side in events.pop(r, ()):
+                if gap[side] > r:  # the front reaches f and lowers x's count
+                    chain, j, d = gap[2], gap[3 + side], 2 * side - 1
+                    f, x, h = chain[j], chain[j + d], chain[j - d]
+                    mon[f] = mon[h] = 1
+                    left[x] -= 1
+                    if left[x] == 1 and mon[x] == 1:
+                        more.append(x)
+                    if not mon[x]:  # f forces x in the next round
+                        left[f] = 1
+                        more.append(f)
         cand = new + more
-        steps.append(cur)
+    if events is not None:
+        # the masks only grow, so the last round that adds to them is found
+        # by bisection; later ones, if any, await fronts or are stale
+        del steps[bisect_left(steps, cur) + 1:]
+        for e0, e1, chain, lo, hi in built:
+            if e0 < _NEVER or e1 < _NEVER:
+                # the front from below takes the vertices up to the one it
+                # reaches no later than the front from above
+                m = min(max((e1 - e0 + hi - lo + 2) // 2, 0), hi - lo + 1)
+                for t, part in (e0, chain[lo:lo + m]), (e1, chain[hi:lo + m - 1:-1]):
+                    if part:
+                        steps += [cur] * (t + len(part) - len(steps))
+                    for t, v in enumerate(part, t):
+                        steps[t] |= 1 << v
+        steps = accumulate(steps, or_)
     n = g.n
     steps = tuple([_unchecked_vertex_set(n, bits) for bits in steps])
     return PropagationTrace(kind=kind, steps=steps, stabilized_at=len(steps) - 1)

@@ -389,6 +389,12 @@ def with_path(n, edges, k, ends=()):
 
 def relabelled(rng: random.Random, n, edges):
     """The graph (n, edges) with its vertices renumbered at random."""
+    return relabelled_with_sets(rng, n, edges, ())[:2]
+
+
+def relabelled_with_sets(rng: random.Random, n, edges, sets):
+    """`relabelled`, with each member list of `sets` renumbered the same
+    way.  Returns (n, edges, sets)."""
     perm = list(range(n))
     rng.shuffle(perm)
-    return n, [(perm[u], perm[v]) for u, v in edges]
+    return n, [(perm[u], perm[v]) for u, v in edges], [[perm[v] for v in s] for s in sets]

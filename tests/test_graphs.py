@@ -104,12 +104,16 @@ def test_immutable_types_pickle_and_copy(copy_of):
     # a built view is a cache: it is left out of the state, and a copy
     # builds its own on first use
     p = Graph(6, [(i, i + 1) for i in range(5)])
-    view = p.contracted_view()
+    view, table = p.contracted_view(), p.chain_table()
     assert view[0].n == 4
+    # so is the chain table built with it: the path's leaves ride along
+    assert table == (((None, 0, 1, 2, 3, 4, 5, None),), tuple((0, j) for j in range(1, 7)))
     assert pickle.dumps(p) == pickle.dumps(Graph(6, [(i, i + 1) for i in range(5)]))
     q = copy_of(p)
     assert q == p and hash(q) == hash(p) and q.edge_count() == 5
-    assert q.contracted_view() == view
+    with pytest.raises(AttributeError):
+        q._view  # neither the view nor the chain table was carried over
+    assert q.chain_table() == table and q.contracted_view() == view
 
 
 @pytest.mark.parametrize(

@@ -856,6 +856,150 @@ def test_contracted_view_agrees_with_references(name):
         assert classify(g, s) == want
 
 
+# Traces along the paths of `Graph.chain_table`, step for step against the
+# oracle's chains and `run_chain_bits`.  Each shape is (n, edges, paths),
+# a path listed as its vertices a, z1, ..., zk, b, without an end that is
+# missing: a path hung from a stops at its leaf, one left apart has none.
+
+
+def with_paths(n, edges, *specs):
+    """(n, edges) with a path of k new vertices for each (k, ends) of
+    `specs`, as `oracles.with_path` adds it, and the list of those paths."""
+    paths = []
+    for k, ends in specs:
+        paths.append([*ends[:1], *range(n, n + k), *ends[1:]])
+        n, edges = oracles.with_path(n, edges, k, ends)
+    return n, edges, paths
+
+
+def cycle_beside(n, edges, k):
+    """`lone_cycle`, and the cycle as a path from its anchor n round to
+    itself."""
+    return (*lone_cycle(n, edges, k), [[n, *range(n + 1, n + k), n]])
+
+
+TRACE_SHAPES = {
+    **{f"cycle {k}": cycle_beside(0, [], k) for k in range(3, 9)},
+    **{f"cycle {k} beside K4": cycle_beside(*K4, k) for k in range(3, 9)},
+    **{f"ends adjacent {k}": with_paths(*K4, (k, (0, 1))) for k in (2, 3, 4, 6)},
+    **{f"pendant {k}": with_paths(*K4, (k, (0,))) for k in (3, 4, 5, 7)},
+    **{f"returning path {k}": with_paths(*K4, (k, (0, 0))) for k in (3, 4, 6)},
+    **{f"path {k} apart from K4": with_paths(*K4, (k, ())) for k in (3, 4, 7)},
+    "theta 3,3,3": with_paths(2, [], *[(3, (0, 1))] * 3),
+    "theta 1,4,6": with_paths(2, [], (1, (0, 1)), (4, (0, 1)), (6, (0, 1))),
+    "two paths on K4, one hung": with_paths(*K4, (5, (0, 2)), (4, (3,))),
+}
+
+
+def path_sets(n, paths, rng: random.Random) -> list:
+    """The empty and the full set; each vertex of a path alone, and each
+    two adjacent ones; members on its two ends, and on the vertices next
+    to them; their complements, and random sets of more than n/2
+    vertices."""
+    sets = [[], list(range(n))]
+    for path in paths:
+        sets += [[v] for v in path] + [list(pair) for pair in zip(path, path[1:])]
+        sets += [[path[0], path[-1]], [path[1], path[-2]], [path[0], path[-2]],
+                 [path[1], path[-1]]]
+    sets += [[v for v in range(n) if v not in members] for members in sets[2:]]
+    sets += [rng.sample(range(n), n // 2 + 1 + rng.randrange(n - n // 2)) for _ in range(8)]
+    return sets
+
+
+def traces_agree(g: Graph, members) -> None:
+    """Both traces of `members` against the oracle's chains and
+    `run_chain_bits`, step for step."""
+    s, adj = g.vertex_set(members), g.adjacency_masks()
+    for trace, chain, start in (
+        (monitored_fixpoint(g, s), oracles.pd_chain, closed_neighborhood_bits(adj, s.bits)),
+        (zero_forcing_fixpoint(g, s), oracles.zf_chain, s.bits),
+    ):
+        bits = [step.bits for step in trace.steps]
+        assert bits == run_chain_bits(adj, start), (trace.kind, members)
+        assert [frozenset(step) for step in trace.steps] == chain(g.n, g.edges(), members)
+        assert trace.stabilized_at == len(bits) - 1
+
+
+@pytest.mark.parametrize("name", TRACE_SHAPES)
+def test_traces_along_paths_agree_with_references(name):
+    # vertices renumbered at random, so no path runs along consecutive
+    # indices
+    n, edges, paths = TRACE_SHAPES[name]
+    rng = random.Random(f"traces {name}")
+    sets = path_sets(n, paths, rng)
+    n, edges, sets = oracles.relabelled_with_sets(rng, n, edges, sets)
+    g = Graph(n, edges)
+    for members in sets:
+        traces_agree(g, members)
+
+
+def test_traces_on_subdivided_random_graphs_agree_with_references():
+    # each edge of a random graph subdivided 0 to 5 times, with pendant
+    # paths hung from random vertices, renumbered at random
+    rng = random.Random(25)
+    for _ in range(30):
+        n, edges = oracles.random_graph(rng, rng.randint(2, 8), rng.choice([0.3, 0.6]))
+        pendants = [(rng.randrange(n), n + i) for i in range(rng.randint(0, 2))]
+        g = subdivided(n + len(pendants), edges + pendants,
+                       [rng.randint(0, 5) for _ in edges] + [rng.randint(2, 7) for _ in pendants])
+        g = Graph(*oracles.relabelled(rng, g.n, g.edges()))
+        sets = [[], list(range(g.n))]
+        sets += [rng.sample(range(g.n), min(rng.randint(1, 3), g.n)) for _ in range(6)]
+        sets += [rng.sample(range(g.n), max(g.n - rng.randint(1, 3), 0)) for _ in range(4)]
+        for members in sets:
+            traces_agree(g, members)
+
+
+@pytest.mark.parametrize("source", ["path:3", "complete:3", "grid:3,3"])
+def test_traces_on_faithful_gadgets_agree_with_references(source):
+    # the lifts of independent sets hold every pendant-path vertex: more
+    # than n/2 of the gadget's vertices
+    src = generate(parse_family(source))
+    red = build_reduction(src)
+    g, rng = red.gprime, random.Random(f"gadget {source}")
+    independent = [members for members in ([], [0], [0, 2], [0, 2, 4, 6, 8])
+                   if max(members, default=0) < src.n
+                   and not any(src.has_edge(u, v) for u in members for v in members)]
+    sets = [lift_independent_set(red, src.vertex_set(members)).members()
+            for members in independent]
+    sets += [rng.sample(range(g.n), k) for k in (1, 2, 5)] + [[red.hub]]
+    if g.n < 100:
+        sets += [[red.path_vertex(e, i)] for e in range(red.source_m) for i in (1, 2, red.path_len)]
+        sets += [[v for v in range(g.n) if v not in members] for members in sets]
+    for members in sets:
+        traces_agree(g, members)
+
+
+class CountedLists(tuple):
+    """Neighbor lists that count how often a list is read."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        self.reads += 1
+        return super().__getitem__(v)
+
+
+def test_traces_count_rounds_along_paths(monkeypatch):
+    # path:300 is one chain, its leaves riding along, and cycle:200 one
+    # chain round vertex 0: a trace from one vertex reads a few neighbor
+    # lists in its set-up and first round and counts the rest, where the
+    # round loop would read one or two for each of the hundreds of
+    # vertices it forces
+    lists = []
+    adjacency_lists = Graph.adjacency_lists
+    monkeypatch.setattr(Graph, "adjacency_lists",
+                        lambda g: lists.append(CountedLists(adjacency_lists(g))) or lists[-1])
+    for spec, members, rounds in (("path:300", [150], [149, 0]), ("path:300", [0], [298, 299]),
+                                  ("cycle:200", [100], [99, 0]), ("cycle:200", [0, 1], [98, 99])):
+        g = named_graph(spec)
+        s = g.vertex_set(members)
+        traces = [monitored_fixpoint(g, s), zero_forcing_fixpoint(g, s)]
+        assert [trace.stabilized_at for trace in traces] == rounds
+        assert traces[0].fixed_point == g.full_set()
+        assert max(counted.reads for counted in lists[-2:]) <= 12, (spec, members)
+
+
 @pytest.mark.parametrize(
     "copy_of",
     [lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy],
