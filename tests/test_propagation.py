@@ -443,6 +443,87 @@ def test_a_stop_met_in_round_one_ends_the_closure():
     assert reads[1] < reads[0]
 
 
+def independent_sets(g: Graph) -> list:
+    """Every independent set of g as a mask, with whether it is maximal."""
+    adj = g.adjacency_masks()
+    sets = []
+    for bits in range(1 << g.n):
+        if not any(bits >> v & 1 and adj[v] & bits for v in range(g.n)):
+            sets.append((bits, all(bits >> v & 1 or adj[v] & bits for v in range(g.n))))
+    return sets
+
+
+def test_maximal_lifts_close_each_footprint_once(monkeypatch):
+    # the footprint of v outside s is N[v] - N[s].  Outside N[s] for a lift
+    # s lie the hub and the source vertices not in the independent set, each
+    # its own footprint, and a subdivision vertex's footprint holds the hub.
+    # On a maximal lift every footprint closes to V, so each vertex outside
+    # N[s] closes once and every other footprint is skipped
+    closures = count_closures(monkeypatch)
+    g = GADGET.gprime
+    maximal_lifts = 0
+    for bits, maximal in independent_sets(GADGET_SOURCE):
+        if maximal:
+            s = lift_independent_set(GADGET, VertexSet(GADGET_SOURCE.n, bits))
+            closures.clear()
+            assert classify(g, s).maximally_stalled
+            outside = g.full_set().bits & ~closed_neighborhood_bits(g.adjacency_masks(), s.bits)
+            assert 5 <= outside.bit_count() <= 7
+            assert sorted(add for _, _, add, _ in closures) == [
+                1 << u for u in VertexSet(g.n, outside)]
+            maximal_lifts += 1
+    assert maximal_lifts == 10
+    # 0's neighbors 1..6 are all adjacent to 7 and 8, which are adjacent:
+    # every vertex outside {0} has the footprint {7, 8}, closed once.  The
+    # first closure goes through `fixpoint_bits`, as in the definition test
+    monkeypatch.setattr(propagation, "fixpoint_bits",
+                        lambda adj, start: fixpoint_from(adj, 0, start))
+    twins = Graph(9, [(0, w) for w in range(1, 7)]
+                  + [(w, x) for w in range(1, 7) for x in (7, 8)] + [(7, 8)])
+    closures.clear()
+    assert classify(twins, VertexSet.of(9, [0])).maximally_stalled
+    assert [add for _, _, add, _ in closures] == [1 << 7 | 1 << 8]
+
+
+def test_maximally_stalled_agrees_with_its_definition(monkeypatch):
+    # footprints repeat on stars and complete bipartite graphs, where the
+    # vertices of one side share theirs, and nest on the gadgets, where a
+    # subdivision vertex's holds the hub's: every set of the small graphs,
+    # and the lift of every independent set of the gadgets' sources (n = 56)
+    closures = count_closures(monkeypatch)
+    cases = []
+    for spec in ("kmn:1,1", "kmn:2,1", "kmn:3,1", "kmn:4,1", "kmn:5,1", "kmn:6,1", "kmn:4,3"):
+        g = generate(parse_family(spec))
+        cases += [(g, VertexSet(g.n, bits)) for bits in range(1 << g.n)]
+    for spec in ("kmn:3,1", "path:4"):
+        src = generate(parse_family(spec))
+        red = build_reduction(src)
+        assert red.gprime.n == 56
+        cases += [(red.gprime, lift_independent_set(red, VertexSet(src.n, bits)))
+                  for bits, _ in independent_sets(src)]
+    kinds, ended_early = set(), 0
+    for g, s in cases:
+        closures.clear()
+        verdict = classify(g, s)
+        n, edges, members = g.n, g.edges(), s.members()
+        spds = len(oracles.pd_chain(n, edges, members)) == 1
+        maximal = spds and all(oracles.is_pds(n, edges, members + [v])
+                               for v in range(n) if v not in s)
+        assert (verdict.is_spds, verdict.maximally_stalled) == (spds, maximal)
+        kinds.add((g.n, maximal) if spds else None)
+        # a closure given a `stop` ends early when it meets one
+        for adj, closed, add, *stop in closures:
+            if stop and stop[0]:
+                reads = []
+                for vertices in (0, stop[0]):
+                    counted = CountedMasks(adj)
+                    fixpoint_from(counted, closed, add, vertices)
+                    reads.append(counted.reads)
+                ended_early += reads[1] < reads[0]
+    assert {(56, True), (56, False)} <= kinds
+    assert ended_early
+
+
 @st.composite
 def sparse_graph_and_set(draw, max_n=40):
     """Up to `max_n` vertices and at most twice as many edges, the last few
