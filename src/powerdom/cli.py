@@ -1,14 +1,16 @@
 """Command-line front end.
 
 JSON output by default (for scripts and fixture regeneration), plain text
-with --plain.  Exit codes: 0 success, 1 usage/domain/parse/I-O error,
-2 budget exhausted (the budget counts subsets decided).
+with --plain.  Exit codes: 0 success, 1 usage/domain/parse/I-O error or
+a reader that closed stdout early (with no report), 2 budget exhausted
+(the budget counts subsets decided).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
@@ -188,7 +190,13 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(*plain_lines, sep="\n")
         else:
             print(json.dumps(payload))
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
         return 0
+    except BrokenPipeError:
+        # the reader stopped early (`| head`), so nothing is reported; the
+        # flush at exit goes to devnull, as the Python docs do for SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except BudgetExceeded as exc:
         payload = {"error": "budget_exceeded", "calls": exc.calls, "budget": exc.budget}
         if exc.lower_bound is not None:

@@ -212,6 +212,20 @@ def subset_predicates(n, edges):
     }
 
 
+def predicate_states(n, edges):
+    """By predicate name, the state the solvers grow for a set, as a
+    bitmask: the closure of N[s] or of s, N[s], and the union of the open
+    neighborhoods of s's members."""
+    adj = adj_of(n, edges)
+    mask = lambda vs: sum(1 << v for v in vs)
+    return {
+        "pds": lambda s: mask(pd_chain(n, edges, s)[-1]),
+        "zfs": lambda s: mask(zf_chain(n, edges, s)[-1]),
+        "dominating": lambda s: mask(closed_nbhd(adj, set(s))),
+        "dependent": lambda s: mask(set().union(*(adj[v] for v in s))),
+    }
+
+
 # solver -> (subset predicate, search direction)
 SOLVER_SEARCHES = {
     "gamma_p": ("pds", "min"),

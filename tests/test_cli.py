@@ -362,3 +362,20 @@ def test_exit_codes_of_a_real_process(argv, code, error):
     out = subprocess.run([sys.executable, "-m", "powerdom.cli", *argv], capture_output=True,
                          text=True, env=src_env())
     assert (out.returncode, out.stdout, json.loads(out.stderr)["error"]) == (code, "", error)
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--family", "grid:30,30"],
+    ["generate", "--family", "path:3", "--plain"],  # fits the buffer: fails at the flush
+])
+def test_a_closed_pipe_is_exit_1_with_no_report(argv):
+    # as in `powerdom generate ... | head -c 10`, but with the reading end
+    # closed before the process starts, so every write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run([sys.executable, "-m", "powerdom.cli", *argv], stdout=write_end,
+                             stderr=subprocess.PIPE, text=True, env=src_env())
+    finally:
+        os.close(write_end)
+    assert (out.returncode, out.stderr) == (1, "")

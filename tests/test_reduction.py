@@ -249,14 +249,16 @@ class TestBothDirections:
     @pytest.mark.parametrize(
         "edges, value",
         [([(0, 1), (1, 2)], 20), ([(0, 1), (1, 2), (0, 2)], 28),
-         ([(0, 1), (0, 2), (0, 3)], 51)],
-        ids=["P3", "K3", "K1,3"],
+         ([(0, 1), (0, 2), (0, 3)], 51), ([(0, 1), (1, 2), (2, 3)], 50),
+         ([(0, 1), (1, 2), (2, 3), (0, 3)], 66), (FIG3.edges(), 66)],
+        ids=["P3", "K3", "K1,3", "P4", "C4", "FIG3"],
     )
     def test_gamma_bar_p_of_faithful_gadget(self, edges, value):
         g = Graph(1 + max(v for e in edges for v in e), edges)
         red = build_reduction(g)
         alpha = max_independent_set(g).value
-        result = gamma_bar_p(red.gprime)
+        # the C4 and FIG3 gadgets decide about 1.5-1.8e9 subsets
+        result = gamma_bar_p(red.gprime, budget=10**10)
         assert result.value == red.m_of(alpha) == value
         assert oracles.fort_gamma_bar_p(red.gprime.n, red.gprime.edges()) == value
         ext = extract_independent_set(red, result.witness)

@@ -263,13 +263,7 @@ class TestSolverContract:
         # sees k = 0, and every result carries its witness, the empty set
         # included: alpha of an edgeless graph is n, gamma_bar_p of K1 is 0,
         # and every third graph is joined up to the fort route's degree 4
-        scanned = []
-
-        def scan(adj, full, k, *args):
-            scanned.append(k)
-            return _scan_stratum(adj, full, k, *args)
-
-        monkeypatch.setattr(solvers, "_scan_stratum", scan)
+        scanned = scanned_strata(monkeypatch)
         rng = random.Random(56)
         graphs = [generate(parse_family("empty:4")), complete(1)]
         for i in range(30):
@@ -305,22 +299,26 @@ class TestScanMatchesReference:
         # the stratum scan on its own, for both answers, on the strata the
         # ascent reaches: k >= 1, and a satisfying set is asked for only up
         # to the least size that has one, below which every set fails.  A
-        # cap one short of the subsets decided runs out: (None, cap + 1)
+        # failing hit comes with its state, a satisfying one with None.  A
+        # cap one short of the subsets decided runs out: (None, cap + 1, None)
         rng = random.Random(44)
         for _ in range(15):
             n, edges = oracles.random_graph(rng, rng.randint(1, 8), rng.choice([0.2, 0.5, 0.8]))
             adj, full = Graph(n, edges).adjacency_masks(), (1 << n) - 1
+            states = oracles.predicate_states(n, edges)
             for name, pred in oracles.subset_predicates(n, edges).items():
                 satisfied = False  # a smaller stratum held a satisfying set
                 for k in range(1, n + 1):
                     for want in (False,) if satisfied else (True, False):
-                        hit, calls = _scan_stratum(adj, full, k, GROW[name], want, 10**9)
+                        hit, calls, state = _scan_stratum(adj, full, k, GROW[name], want, 10**9)
                         ref_hit, ref_calls = oracles.scan_stratum(
                             n, k, lambda s: pred(s) == want)
                         ref_mask = None if ref_hit is None else sum(1 << v for v in ref_hit)
-                        assert (hit, calls) == (ref_mask, ref_calls), (name, k, want)
+                        ref_state = None if want or ref_hit is None else states[name](ref_hit)
+                        assert (hit, calls, state) == (ref_mask, ref_calls, ref_state), \
+                            (name, k, want)
                         assert _scan_stratum(adj, full, k, GROW[name], want, calls - 1) \
-                            == (None, calls), (name, k, want)
+                            == (None, calls, None), (name, k, want)
                         satisfied |= want and hit is not None
 
     def test_each_stratum_with_the_bound(self):
@@ -331,15 +329,19 @@ class TestScanMatchesReference:
             n, edges = oracles.random_graph(rng, rng.randint(1, 8), rng.choice([0.2, 0.5, 0.8]))
             adj, full = Graph(n, edges).adjacency_masks(), (1 << n) - 1
             preds = oracles.subset_predicates(n, edges)
+            states = oracles.predicate_states(n, edges)
             for name in ("pds", "zfs", "dependent"):
                 fails = lambda s, pred=preds[name]: not pred(s)
                 tops = []
                 for k in range(1, n + 1):
                     least = (*tops, tops[-1] + 1) if tops else ()
-                    hit, calls = _scan_stratum(adj, full, k, GROW[name], False, 10**9, least)
+                    hit, calls, state = _scan_stratum(adj, full, k, GROW[name], False, 10**9,
+                                                      least)
                     ref_hit, ref_calls = oracles.scan_stratum(n, k, fails)
                     ref_mask = None if ref_hit is None else sum(1 << v for v in ref_hit)
-                    assert (hit, calls) == (ref_mask, ref_calls), (name, k, least)
+                    ref_state = None if ref_hit is None else states[name](ref_hit)
+                    assert (hit, calls, state) == (ref_mask, ref_calls, ref_state), \
+                        (name, k, least)
                     if ref_hit is None:
                         break
                     tops.append(ref_hit[-1])
@@ -432,6 +434,63 @@ def min_degree_four_graphs(draw, max_n=10):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return n, joined_to_degree_four(n, (pair for pair, kept in zip(pairs, keep) if kept))
+
+
+def scanned_strata(monkeypatch):
+    """The strata `_scan_stratum` is asked for, in order, from now on."""
+    scanned = []
+
+    def scan(adj, full, k, *args):
+        scanned.append(k)
+        return _scan_stratum(adj, full, k, *args)
+
+    monkeypatch.setattr(solvers, "_scan_stratum", scan)
+    return scanned
+
+
+class TestNextVertexExtension:
+    """A failed stratum of gamma_bar_p or F is W + m, with no scan, when the
+    next vertex m = max(W) + 1 adds nothing to the state of the witness W
+    before it; the scan's value, witness, calls and budget outcomes stay."""
+
+    EXTENDED = [gamma_bar_p, failed_zero_forcing_number]
+
+    def test_matches_reference_and_budget_sweep(self, monkeypatch):
+        # a shortcut taken when W + m does not fail, or ranked wrong, shows
+        # up in value, witness or calls; a stratum it decides is not scanned
+        scanned = scanned_strata(monkeypatch)
+        rng = random.Random(57)
+        extended = 0
+        for _ in range(40):
+            n, edges = oracles.random_graph(rng, rng.randint(2, 12), rng.choice([0.15, 0.3, 0.5]))
+            g = Graph(n, edges)
+            for solve in self.EXTENDED:
+                scanned.clear()
+                res = solve(g)
+                extended += res.value + 1 - len(scanned)
+                assert (res.value, tuple(res.witness.members()), res.propagation_calls) \
+                    == oracles.reference_solve(solve.__name__, n, edges), solve.__name__
+                strata = oracles.reference_strata(solve.__name__, n, tuple(edges))
+                ends = [0, *accumulate(spent for _, spent in strata)]
+                budgets = {b + d for b in ends for d in (-1, 0, 1) if 0 <= b + d <= 3000}
+                budgets.update(rng.sample(range(3001), 10))
+                for budget in sorted(budgets):
+                    assert budgeted_outcome(solve, g, budget) == oracles.reference_budgeted(
+                        solve.__name__, n, edges, budget), (solve.__name__, budget)
+        assert extended >= 40
+
+    @pytest.mark.parametrize("solve, spec, scans, strata", [
+        (failed_zero_forcing_number, "grid:5,5", 11, 21),
+        (gamma_bar_p, "grid:6,6", 11, 21),
+        (gamma_bar_p, "grid:10,10", 19, 73),
+        # no m lies in the witness's closure: every stratum is scanned
+        (failed_zero_forcing_number, "path:18", 9, 9),
+        (failed_zero_forcing_number, "cycle:16", 9, 9),
+    ])
+    def test_strata_scanned(self, monkeypatch, solve, spec, scans, strata):
+        scanned = scanned_strata(monkeypatch)
+        res = solve(generate(parse_family(spec)), budget=10**30)
+        assert (len(scanned), res.value + 1) == (scans, strata)
 
 
 class TestFortRoute:
@@ -535,13 +594,7 @@ class TestFortRoute:
     def test_route_scans_only_the_empty_stratum(self, monkeypatch):
         # the empty stratum is decided before the ascent, and every stratum
         # after it takes the fort route, so nothing is scanned
-        scanned = []
-
-        def scan(adj, full, k, *args):
-            scanned.append(k)
-            return _scan_stratum(adj, full, k, *args)
-
-        monkeypatch.setattr(solvers, "_scan_stratum", scan)
+        scanned = scanned_strata(monkeypatch)
         res = failed_zero_forcing_number(generate(parse_family("kxp:4,5")))
         assert (res.value, scanned) == (14, [])
 
@@ -693,6 +746,25 @@ class TestExactRegressions:
         g = generate(parse_family("grid:6,6"))
         res = failed_zero_forcing_number(g)
         assert res.value == oracles.fort_failed_zero_forcing(g.n, g.edges()) == 30
+        assert not oracles.is_zfs(g.n, g.edges(), res.witness.members())
+
+    def test_gamma_bar_p_grid_14x14(self):
+        # a pin of the pattern gamma_bar_p(grid:n,n) = (n - 1)(n - 2), seen
+        # for n = 3..10, 14, 16, 18 and 20 but not proved; no oracle reaches it
+        g = generate(parse_family("grid:14,14"))
+        res = gamma_bar_p(g, budget=10**50)
+        assert (res.value, res.propagation_calls) \
+            == (156, 344646577153276990716267789162722895017857)
+        assert len(res.witness) == 156
+        assert not oracles.is_pds(g.n, g.edges(), res.witness.members())
+
+    def test_failed_zero_forcing_grid_20x20(self):
+        # a pin of the pattern F(grid:n,n) = n^2 - n, seen for n = 2..9, 14,
+        # 20, 24 and 30 but not proved
+        g = generate(parse_family("grid:20,20"))
+        res = failed_zero_forcing_number(g, budget=10**40)
+        assert (res.value, res.propagation_calls) == (380, 983935700235556674738194054334935)
+        assert len(res.witness) == 380
         assert not oracles.is_zfs(g.n, g.edges(), res.witness.members())
 
 
