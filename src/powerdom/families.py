@@ -46,19 +46,18 @@ def _kmn(m: int, n: int) -> Graph:
 
 
 def _grid(m: int, n: int) -> Graph:
-    if m > 10 or n > 10:
-        return cartesian_product(_path(m), _path(n))
-    # figure-style coordinate labels: "cd" = column c (first path index),
-    # row d (second path index), at index c * n + d; the edges in the order
-    # of `Graph.edges`, so each neighbor list is ascending
+    # vertex (c, d), column c (first path index) and row d (second path
+    # index), at index c * n + d, labelled figure-style "cd" up to 10 x 10
+    # and "u{c}v{d}", as by `cartesian_product`, above; the edges in the
+    # order of `Graph.edges`, so each neighbor list is ascending
     edges = []
     for v in range(m * n):
         if (v + 1) % n:  # not the last of its column
             edges.append((v, v + 1))
         if v + n < m * n:
             edges.append((v, v + n))
-    labels = [f"{c}{d}" for c in range(m) for d in range(n)]
-    return Graph(m * n, edges, labels=labels)
+    form = "u{}v{}" if m > 10 or n > 10 else "{}{}"
+    return Graph(m * n, edges, labels=[form.format(c, d) for c in range(m) for d in range(n)])
 
 
 def _fan_chord(n: int, i: int, k: int, plus: bool = False) -> Graph:

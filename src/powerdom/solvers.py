@@ -22,17 +22,19 @@ left is decided by one closure.  A failed-parameter solve that runs out of
 budget reports the largest failing set it had found.
 
 A failed stratum k + 1 of power domination or zero forcing is first tried
-on W + m, W the witness of stratum k and m = max(W) + 1.  If m adds nothing
-to W's state (zero forcing: m is in cl(W); power domination: N[m] is in
-cl(N[W])), W + m has W's closure, which is not V, so it fails.  The k
-least elements of a failing (k + 1)-set fail, so they come no earlier than
-W and the set ends at m or above: W + m is the colex-first failing set,
-and it spends its colex rank plus one, as the scan would.  The test is a
-mask check, so a miss costs nothing; the scan hands each hit's state on.
-The fort route keeps its own test, a closure grown from that of
-{0..k-2}: on the kxp graphs measured each of its hits grows the closure,
-which a mask check would miss.  The independence number keeps the scan:
-its rule (m not in N(W)) gained 4% on alpha(grid:30,30), nothing elsewhere.
+on W + m, W the witness of stratum k and m = max(W) + 1.  W + m fails when
+W's state grown by m is not V (zero forcing: cl(W + m); power domination:
+cl(N[W + m])).  The k least elements of a failing (k + 1)-set fail, so
+they come no earlier than W and the set ends at m or above: W + m is the
+colex-first failing set, and it spends its colex rank plus one, as the
+scan would.  Each route grows the state as far as it can afford.  The scan
+route, which hands each hit's state on, tests only whether m adds nothing
+to it (m in cl(W); N[m] in cl(N[W])), a mask check, so a miss costs
+nothing.  The fort route grows the closure, as each of its hits did on the
+kxp graphs measured, but it knows cl(W) only while every witness came this
+way, W = {0..k-1}; after a fort search its state is V, and the step fails
+at once.  The independence number keeps the scan: its rule (m not in
+N(W)) gained 4% on alpha(grid:30,30), nothing elsewhere.
 
 On graphs of minimum degree at least 4 the failed zero forcing number
 finds each stratum's witness by a fort search instead (Fast & Hicks 2018).
@@ -41,13 +43,13 @@ neighbor in; a set fails to force exactly when it misses a fort, so the
 colex-first failing k-set is the colex-least choice of the k least
 vertices outside a fort of at most n - k vertices, and no k-set fails once
 no fort is that small.  A branch-and-bound over forts finds that set
-directly, and the stratum counts the subsets its scan would decide: the
-set's colex rank plus one, or all comb(n, k) when none fails; a witness
-{0..k-1} is found with no search, by one closure grown from that of
-{0..k-2}.  So `calls`, the witness and a budget's outcome do not depend on
-the route.  The search lost to the scan on the paths, cycles, ladders,
-grids and wheels measured, which all have vertices of degree 3 or less, by
-up to a factor of 28 on wheel:30, though it won on kxp:3,5 and kxp:3,6.
+directly, after the next-vertex step, and the stratum counts the subsets
+its scan would decide: the set's colex rank plus one, or all comb(n, k)
+when none fails.  So `calls`, the witness and a budget's outcome do not
+depend on the route.  The search lost to the scan on the paths, cycles,
+ladders, grids and wheels measured, which all have vertices of degree 3 or
+less, by up to a factor of 28 on wheel:30, though it won on kxp:3,5 and
+kxp:3,6.
 """
 
 from __future__ import annotations
@@ -287,11 +289,10 @@ def _solve(g: Graph, parameter: str, grow, want: bool, budget: int,
     that set and its size are what was proven.  Stratum 0 is decided with
     no scan, as the empty set satisfies no predicate on a nonempty graph.
 
-    With `forts` (failed zero forcing only), every other stratum takes the
-    fort route of the module docstring, with the counts of a scan.
-    Otherwise a failed stratum of power domination or zero forcing is the
-    witness before it plus its next vertex, with no scan, when that vertex
-    adds nothing to the witness's state (module docstring).
+    A failed stratum of power domination or zero forcing is first tried on
+    the witness before it plus its next vertex (module docstring); when
+    that set does not fail, the stratum is scanned, or with `forts` (failed
+    zero forcing only) found by the fort search, with the counts of a scan.
     """
     if g.n < 1:
         raise ValueError("solvers require at least one vertex")
@@ -307,22 +308,20 @@ def _solve(g: Graph, parameter: str, grow, want: bool, budget: int,
     # colex-first failing j-set.  The j least elements of a failing k-set
     # fail too, so come no earlier in colex order and end at or above it.
     tops = []
-    # the witness's state: cl(N[W]) or cl(W), on the fort route only while
-    # W is {0..k-2}; and whether the next vertex m may extend W with no scan
+    # the witness's state, cl(N[W]) or cl(W), or V once a fort search has
+    # left it unknown; and whether the next vertex m may extend W
     state, extend = 0, not want and grow is not _grow_dependent
     for k in range(1, n + 1):
-        m = witness.bits.bit_length()
-        if forts:
-            first = (1 << k) - 1
-            grown = fixpoint_from(adj, state, 1 << k - 1) if witness.bits == first >> 1 else full
-            if grown != full:
-                hit, state = first, grown
-            else:
-                hit = _fort_witness(adj, k)
+        m, grown = witness.bits.bit_length(), full
+        if extend and m < n:
+            add = (adj[m] if grow is _grow_pds else 0) | 1 << m
+            grown = fixpoint_from(adj, state, add) if forts else full if add & ~state else state
+        if grown != full:
+            # W + m fails; ranked as W, after the k-sets below m
+            hit, spent, state = witness.bits | 1 << m, spent + comb(m, k), grown
+        elif forts:
+            hit, state = _fort_witness(adj, k), full
             spent = comb(n, k) if hit is None else _colex_rank(hit) + 1
-        elif extend and m < n and not ((adj[m] if grow is _grow_pds else 0) | 1 << m) & ~state:
-            # W's state, so it fails; ranked as W, after the k-sets below m
-            hit, spent = witness.bits | 1 << m, spent + comb(m, k)
         else:
             least = (*tops, m) if tops else ()
             hit, spent, state = _scan_stratum(adj, full, k, grow, want, budget - calls, least)

@@ -148,6 +148,20 @@ class TestGenerate:
         assert g.index_of_label("04") == 4
         assert g.index_of_label("51") == 31
 
+    @pytest.mark.parametrize("m, n", [(6, 6), (10, 10), (1, 7), (11, 12), (20, 20),
+                                      (1, 30), (30, 1), (10, 11)])
+    def test_grid_is_the_product_of_two_paths(self, m, n):
+        # built directly at every size, with cartesian_product's labels
+        # above 10 x 10 and with ascending neighbor lists
+        g = generate(parse_family(f"grid:{m},{n}"))
+        product = families.cartesian_product(families._path(m), families._path(n))
+        assert g == product
+        if m > 10 or n > 10:
+            assert g.labels == product.labels
+        else:
+            assert g.labels == tuple(f"{c}{d}" for c in range(m) for d in range(n))
+        assert all(list(nbrs) == sorted(nbrs) for nbrs in g.adjacency_lists())
+
     def test_join_spec(self):
         w5 = generate(parse_family("join:cycle:4+complete:1"))
         assert oracles.isomorphic(5, w5.edges(), generate(parse_family("wheel:5")).edges())

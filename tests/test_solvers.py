@@ -558,8 +558,9 @@ class TestFortRoute:
     ])
     def test_route_searches_only_past_the_first_sets(self, monkeypatch, spec, searched,
                                                      value, witness, calls):
-        # a stratum whose witness is {0..k-1} is decided by growing the
-        # closure of {0..k-2}; the fort search runs from the first other one
+        # a stratum whose witness is {0..k-1} is decided by the next-vertex
+        # step, {0..k-2} plus k - 1; the fort search runs from the first
+        # other one
         seen = []
 
         def search(adj, k):
@@ -574,7 +575,7 @@ class TestFortRoute:
 
     def test_search_never_returns_the_first_set(self, monkeypatch):
         # {0..k-1} can fail only when {0..k-2} was the witness before it,
-        # and then the closure grown first has already decided it, so no
+        # and then the next-vertex step has already decided it, so no
         # search needs to stop early on finding it
         returned = []
 
@@ -590,6 +591,49 @@ class TestFortRoute:
             failed_zero_forcing_number(Graph(n, joined_to_degree_four(n, edges)))
         assert len(returned) > 60
         assert [(k, hit) for k, hit in returned if hit == (1 << k) - 1] == []
+
+    @pytest.mark.parametrize("spec, grown", [
+        ("kxp:4,5", 11), ("kmn:6,6", 11), ("complete:8", 7), ("kxp:6,4", 17),
+    ])
+    def test_route_grows_no_closure_after_a_search(self, monkeypatch, spec, grown):
+        # the next-vertex step grows cl(W) by the next vertex while W is
+        # {0..k-1}, up to the first stratum it does not decide; after a
+        # search the state is V, and cl(W) is not recomputed.  Closures of
+        # V return at once and are not counted.
+        added = []
+
+        def closure(adj, closed, add, stop=0):
+            if closed != (1 << len(adj)) - 1:
+                added.append(add)
+            return fixpoint_from(adj, closed, add, stop)
+
+        monkeypatch.setattr(solvers, "fixpoint_from", closure)
+        failed_zero_forcing_number(generate(parse_family(spec)))
+        assert added == [1 << v for v in range(grown)]
+
+    @pytest.mark.parametrize("forts", [False, True])
+    def test_either_route_on_any_graph(self, forts):
+        # F forced onto one route on graphs of any minimum degree, against
+        # the per-subset scan, unbudgeted and on either side of each
+        # stratum's end: no route may change a value, witness, count or
+        # budget outcome
+        def solve(g, budget=10**12):
+            return solvers._solve(g, "failed_zero_forcing_number", _grow_zfs, False, budget,
+                                  forts)
+
+        rng = random.Random(59)
+        for _ in range(120):
+            n, edges = oracles.random_graph(rng, rng.randint(1, 10), rng.choice([0.2, 0.4, 0.7]))
+            g = Graph(n, edges)
+            res = solve(g)
+            assert (res.value, tuple(res.witness.members()), res.propagation_calls) \
+                == oracles.reference_solve("failed_zero_forcing_number", n, edges), (n, edges)
+            strata = oracles.reference_strata("failed_zero_forcing_number", n, tuple(edges))
+            ends = [0, *accumulate(spent for _, spent in strata)]
+            for budget in sorted({max(b + d, 0) for b in ends for d in (-1, 0, 1)}):
+                expected = oracles.reference_budgeted("failed_zero_forcing_number", n, edges,
+                                                      budget)
+                assert budgeted_outcome(solve, g, budget) == expected, (n, edges, budget)
 
     def test_route_scans_only_the_empty_stratum(self, monkeypatch):
         # the empty stratum is decided before the ascent, and every stratum
