@@ -234,18 +234,15 @@ def extremal_gamma_bar(g: Graph):
         return n - 1
     if 2 in sizes:
         return n - 2
-    # induced P_3 with both end vertices of degree 1: a vertex with two
-    # or more pendant neighbors
+    deg, nbrs = g.degrees(), g.adjacency_lists()
     for v in range(n):
-        pendants = sum(1 for u in g.neighbors(v) if g.degree(u) == 1)
-        if pendants >= 2:
+        # induced P_3 with both end vertices of degree 1: v has two or more
+        # pendant neighbors
+        if sum(deg[u] == 1 for u in nbrs[v]) >= 2:
             return n - 3
-    # triangle with at least two vertices of degree exactly 2
-    for u in range(n):
-        if g.degree(u) != 2:
-            continue
-        nbrs = g.neighbors(u).members()
-        v, w = nbrs
-        if g.has_edge(v, w) and (g.degree(v) == 2 or g.degree(w) == 2):
-            return n - 3
+        # triangle with at least two vertices of degree exactly 2, v one
+        if deg[v] == 2:
+            a, b = nbrs[v]
+            if b in nbrs[a] and 2 in (deg[a], deg[b]):
+                return n - 3
     return None

@@ -89,21 +89,23 @@ The solver scan and `classify`'s maximal-stalling loop keep the bitmask
 kernel: they grow each closure from one that is already a fixed point, and
 `fixpoint_from` re-checks only the neighborhood of the added vertices,
 where the index kernel would copy or rebuild its counters for every set
-tried, which a prototype of each measured slower.  A failing augmentation
-N[s + v] usually stalls at once and a succeeding one runs the whole chain,
-so `classify` gives each one round first.  Only when none stalls in its
-first round are the augmentations closed, and then by footprint, not by
-vertex.  The footprint of v outside s is A_v = N[v] - N[s], the part of
-N[v] that N[s] leaves unmonitored, so N[s + v] is N[s] + A_v, and N[s] is
-a fixed point that `fixpoint_from` grows from: vertices with one footprint
-have one closure, and each distinct footprint closes once, smallest first.
-Closures are monotone in A, so once N[s] + {u} closes to V, every footprint
-holding u closes to V too and is skipped, and u goes into `stop`, where a
-later closure that monitors u returns V at once.  On the maximal lifts of
-the grid:3,3 gadget, each vertex outside N[s] is its own footprint and
-every other footprint holds the hub, so 5 to 7 closures run instead of
-the 17 to 19 of one per vertex outside s, and `classify` takes about 95 us
-instead of 200 us (minimum of 100 runs, Python 3.11, 2-vCPU Xeon).
+tried, which a prototype of each measured slower.  `classify` decides by
+footprint, not by vertex.  The footprint of v outside s is A_v =
+N[v] - N[s], the part of N[v] that N[s] leaves unmonitored, so N[s + v] is
+N[s] + A_v, and N[s] is a fixed point that `fixpoint_from` grows from:
+vertices with one footprint have one verdict.  A failing augmentation
+usually stalls at once and a succeeding one runs the whole chain, so one
+walk over V - s collects the distinct footprints and gives each new one a
+round first; the first that stalls in it ends the walk.  Only when none
+does is each footprint closed once, smallest first.  Closures are
+monotone in A, so once N[s] + {u} closes to V, every footprint holding u
+closes to V too and is skipped, and u goes into `stop`, where a later
+closure that monitors u returns V at once.  On the maximal lifts of the
+grid:3,3 gadget, each vertex outside N[s] is its own footprint and every
+other footprint holds the hub, so 9 to 18 one-round tests and 5 to 7
+closures run where one of each per vertex outside s would be 17 to 19,
+and `classify` takes about 78 us a lift (median of 300 passes over the
+ten, Python 3.11, 2-vCPU Xeon).
 """
 
 from __future__ import annotations
@@ -478,50 +480,42 @@ def is_pds(g: Graph, s: VertexSet) -> bool:
     return _closure(g, s, False)
 
 
-def _stalls_at_once(adj: Sequence[int], closed: int, outside: int, full: int) -> bool:
-    """Whether, for some v in `outside`, `closed | N[v]` is a fixed point
-    other than `full`.  `closed` is a fixed point, so only the vertices of
-    N[N[v] - closed] can newly force."""
-    while outside:
-        low = outside & -outside
-        outside ^= low
-        add = (low | adj[low.bit_length() - 1]) & ~closed
-        cur = closed | add
-        if cur == full:
-            continue
-        cand = closed_neighborhood_bits(adj, add) & cur
-        unmonitored = ~cur
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            if (adj[low.bit_length() - 1] & unmonitored).bit_count() == 1:
-                break
-        else:
-            return True
-    return False
-
-
 def classify(g: Graph, s: VertexSet) -> Classification:
     """Full verdict set for s.  A stalled s is maximally stalled unless some
-    N[s + v] stalls in its first round; only if none does is each distinct
-    footprint N[v] - N[s] closed once, by the module docstring's rule."""
+    N[s + v] stalls in its first round, tried once per distinct footprint
+    N[v] - N[s] in the walk that collects them; only if none does is each
+    footprint closed once, by the module docstring's rule."""
     adj = g.adjacency_masks()
     full = (1 << g.n) - 1
     monitored, spds = _closure(g, s, True)
     pds = monitored == full
     properly = spds and monitored != full
-    maximal = False
+    maximal = spds
     if spds:
+        # monitored == N[s] is a fixed point, so N[s + v] is monitored | add
+        # for v's footprint add, and in its first round only N[add] can force
+        footprints = set()
         rest = full & ~s.bits
-        maximal = not _stalls_at_once(adj, monitored, rest, full)
+        while rest and maximal:
+            low = rest & -rest
+            rest ^= low
+            add = (low | adj[low.bit_length() - 1]) & ~monitored
+            if add in footprints:
+                continue
+            footprints.add(add)
+            cur = monitored | add
+            if cur == full:
+                continue
+            cand = closed_neighborhood_bits(adj, add) & cur
+            unmonitored = ~cur
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                if (adj[low.bit_length() - 1] & unmonitored).bit_count() == 1:
+                    break
+            else:
+                maximal = False
         if maximal:
-            # monitored == N[s] is a fixed point, so N[s + v] closes from it
-            # by v's footprint alone: each distinct one closes once
-            footprints = set()
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                footprints.add((low | adj[low.bit_length() - 1]) & ~monitored)
             dead = 0  # vertices u for which N[s] + {u} closes to V
             for add in sorted(footprints, key=int.bit_count):
                 if add & dead:

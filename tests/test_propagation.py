@@ -485,6 +485,35 @@ def test_maximal_lifts_close_each_footprint_once(monkeypatch):
     assert [add for _, _, add, _ in closures] == [1 << 7 | 1 << 8]
 
 
+def test_maximal_lifts_try_each_footprint_for_one_round_once(monkeypatch):
+    # the one-round test walks N[add] once per footprint add = N[v] - N[s]
+    # that leaves N[s] + add short of V, not once per vertex v outside s.
+    # A lift is closed first on the index kernel, which walks no N[.] mask,
+    # so every call counted here is a one-round test
+    calls = []
+
+    def counted(adj, bits):
+        calls.append(bits)
+        return closed_neighborhood_bits(adj, bits)
+
+    monkeypatch.setattr(propagation, "closed_neighborhood_bits", counted)
+    g = GADGET.gprime
+    n, nbhd = g.n, oracles.adj_of(g.n, g.edges())
+    maximal_lifts = 0
+    for bits, maximal in independent_sets(GADGET_SOURCE):
+        if maximal:
+            s = lift_independent_set(GADGET, VertexSet(GADGET_SOURCE.n, bits))
+            closed = oracles.closed_nbhd(nbhd, set(s))
+            footprints = {frozenset(oracles.closed_nbhd(nbhd, {v}) - closed)
+                          for v in range(n) if v not in s}
+            short = [a for a in footprints if len(closed | a) < n]
+            calls.clear()
+            assert classify(g, s).maximally_stalled
+            assert len(calls) == len(short)
+            maximal_lifts += 1
+    assert maximal_lifts == 10
+
+
 def test_maximally_stalled_agrees_with_its_definition(monkeypatch):
     # footprints repeat on stars and complete bipartite graphs, where the
     # vertices of one side share theirs, and nest on the gadgets, where a
