@@ -46,10 +46,13 @@ no fort is that small.  A branch-and-bound over forts finds that set
 directly, after the next-vertex step, and the stratum counts the subsets
 its scan would decide: the set's colex rank plus one, or all comb(n, k)
 when none fails.  So `calls`, the witness and a budget's outcome do not
-depend on the route.  The search lost to the scan on the paths, cycles,
-ladders, grids and wheels measured, which all have vertices of degree 3 or
-less, by up to a factor of 28 on wheel:30, though it won on kxp:3,5 and
-kxp:3,6.
+depend on the route.  Every fort meets every zero forcing set Z, so the
+search starts only from Z's vertices, each keeping out those of Z below
+it.  Z is {0..m}, the first prefix that forces, thinned from the top by
+one closure per vertex when n - k > 4 at the first search ({0, 1, 5, 10}
+on kxp:4,5).  The search lost to the scan on the paths, cycles, ladders,
+grids and wheels measured, which all have vertices of degree 3 or less,
+by up to a factor of 28 on wheel:30, though it won on kxp:3,5 and kxp:3,6.
 """
 
 from __future__ import annotations
@@ -217,7 +220,7 @@ def _colex_rank(bits):
     return sum(comb(v, i) for i, v in enumerate(members, 1))
 
 
-def _fort_witness(adj, k):
+def _fort_witness(adj, k, roots):
     """The colex-first k-set that fails to force, as a mask, or None when
     no k-set fails.
 
@@ -229,19 +232,24 @@ def _fort_witness(adj, k):
     second neighbor in it.  A node branches on the violated vertex with the
     fewest such options among its allowed vertices, and a tried option is
     not allowed in the branches after it, so each fort is reached once; the
-    root branches on the least vertex of F.  Both try the highest first:
-    high vertices in F keep low ones outside it.  The k least vertices
-    outside F only rise, elementwise and so in colex order, as F grows, so
-    a node whose k least outside vertices come no earlier than the best
-    candidate is cut.
+    root branches on the least vertex of F in `roots`, a zero forcing set
+    in ascending order (V will do), which every fort meets.  Both try the
+    highest first: high vertices in F keep low ones outside it.  The k
+    least vertices outside F only rise, elementwise and so in colex order,
+    as F grows, so a node whose k least outside vertices come no earlier
+    than the best candidate is cut.
     """
     n = len(adj)
     full, first = (1 << n) - 1, (1 << k) - 1
-    best = full + 1
+    best, below, stack = full + 1, 0, []
     # (F, |F|, ones, twos, allowed, the k least vertices outside F): the
-    # root's children F = {i}, allowed above i, the highest i on top
-    stack = [(1 << i, 1, adj[i], 0, full ^ (2 << i) - 1,
-              first if i >= k else first ^ 1 << i | 1 << k) for i in range(n)]
+    # root's children F = {z}, the roots below z not allowed, the highest
+    # z on top
+    for z in roots:
+        bit = 1 << z
+        stack.append((bit, 1, adj[z], 0, full ^ below ^ bit,
+                      first if z >= k else first ^ bit | 1 << k))
+        below |= bit
     while stack:
         fort, size, ones, twos, allowed, outside = stack.pop()
         if outside >= best:
@@ -280,6 +288,17 @@ def _fort_witness(adj, k):
     return None if best > full else best
 
 
+def _thinned(adj, full, prefix):
+    """{0..m}, which forces, thinned from the top to a forcing set, in
+    ascending order, given prefix[j] = cl({0..j-1}) for j < m: j goes when
+    cl({0..j-1} + kept) is V, so {0..j-1} + kept forces at every step."""
+    kept = 1 << len(prefix)
+    for j in range(len(prefix) - 1, -1, -1):
+        if fixpoint_from(adj, prefix[j], kept) != full:
+            kept |= 1 << j
+    return [v for v in range(len(prefix) + 1) if kept >> v & 1]
+
+
 def _solve(g: Graph, parameter: str, grow, want: bool, budget: int,
            forts: bool = False) -> SolverResult:
     """The parameter named `parameter`: with `want`, the first k with a
@@ -311,16 +330,26 @@ def _solve(g: Graph, parameter: str, grow, want: bool, budget: int,
     # the witness's state, cl(N[W]) or cl(W), or V once a fort search has
     # left it unknown; and whether the next vertex m may extend W
     state, extend = 0, not want and grow is not _grow_dependent
+    # the fort route: cl({0..j-1}) for each j while W = {0..k-1}, and the
+    # zero forcing set its searches start from
+    prefix, roots = [], None
     for k in range(1, n + 1):
         m, grown = witness.bits.bit_length(), full
         if extend and m < n:
             add = (adj[m] if grow is _grow_pds else 0) | 1 << m
             grown = fixpoint_from(adj, state, add) if forts else full if add & ~state else state
         if grown != full:
+            if forts:
+                prefix.append(state)
             # W + m fails; ranked as W, after the k-sets below m
             hit, spent, state = witness.bits | 1 << m, spent + comb(m, k), grown
         elif forts:
-            hit, state = _fort_witness(adj, k), full
+            if roots is None:
+                # {0..m} forces.  Thinning costs more than it saves in
+                # searches for forts of n - k <= 4 vertices, and every
+                # later search has a smaller n - k.
+                roots = _thinned(adj, full, prefix) if n - k > 4 else range(m + 1)
+            hit, state = _fort_witness(adj, k, roots), full
             spent = comb(n, k) if hit is None else _colex_rank(hit) + 1
         else:
             least = (*tops, m) if tops else ()

@@ -436,6 +436,22 @@ def min_degree_four_graphs(draw, max_n=10):
     return n, joined_to_degree_four(n, (pair for pair, kept in zip(pairs, keep) if kept))
 
 
+def first_failing(n, edges, k):
+    """The colex-first k-set that fails to force, as a mask, or None."""
+    return next((sum(1 << v for v in s) for s in oracles.colex_subsets(n, k)
+                 if not oracles.is_zfs(n, edges, s)), None)
+
+
+class CountedAdjacency(tuple):
+    """Adjacency masks that count their lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, v):
+        self.lookups += 1
+        return tuple.__getitem__(self, v)
+
+
 def scanned_strata(monkeypatch):
     """The strata `_scan_stratum` is asked for, in order, from now on."""
     scanned = []
@@ -511,10 +527,59 @@ class TestFortRoute:
             n, edges = oracles.random_graph(rng, rng.randint(1, 9), rng.choice([0.2, 0.5, 0.8]))
             masks = Graph(n, edges).adjacency_masks()
             for k in range(n + 1):
-                failing = [sum(1 << v for v in s) for s in oracles.colex_subsets(n, k)
-                           if not oracles.is_zfs(n, edges, s)]
-                first = failing[0] if failing else None
-                assert _fort_witness(masks, k) == first, (n, edges, k)
+                assert _fort_witness(masks, k, range(n)) == first_failing(n, edges, k), \
+                    (n, edges, k)
+
+    def test_roots_may_be_any_zero_forcing_set(self, monkeypatch):
+        # every fort meets every zero forcing set, so a search from the
+        # solver's roots, from random forcing sets or from V gives one
+        # answer.  The solver thins its roots only when n - k > 4 at the
+        # first search, so the graphs have 7 to 10 vertices.
+        searched = []
+
+        def search(adj, k, roots):
+            searched.append(list(roots))
+            return _fort_witness(adj, k, roots)
+
+        monkeypatch.setattr(solvers, "_fort_witness", search)
+        rng = random.Random(62)
+        thinned = random_roots = 0
+        for _ in range(300):
+            n, edges = oracles.random_graph(rng, rng.randint(7, 10),
+                                            rng.choice([0.15, 0.25, 0.35, 0.5]))
+            g = Graph(n, edges)
+            masks = g.adjacency_masks()
+            searched.clear()
+            solvers._solve(g, "failed_zero_forcing_number", _grow_zfs, False, 10**12, True)
+            # every search has the same roots; thinned ones are not the
+            # prefix {0..m} they came from
+            roots = [range(n), *searched[:1]]
+            thinned += len(roots) > 1 and roots[1] != list(range(len(roots[1])))
+            for _ in range(30):
+                z = sorted(rng.sample(range(n), rng.randint(1, n)))
+                if len(roots) < 6 and oracles.is_zfs(n, edges, z):
+                    roots.append(z)
+                    random_roots += len(z) < n
+            for k in range(n + 1):
+                first = first_failing(n, edges, k)
+                for z in roots:
+                    assert _fort_witness(masks, k, z) == first, (n, edges, k, z)
+        assert thinned >= 15 and random_roots >= 600
+
+    def test_roots_must_force(self):
+        # roots that miss a fort can miss the answer: found by a search
+        rng = random.Random(63)
+        for _ in range(100):
+            n, edges = oracles.random_graph(rng, rng.randint(2, 9), rng.choice([0.2, 0.5, 0.8]))
+            z = sorted(rng.sample(range(n), rng.randint(1, n - 1)))
+            if oracles.is_zfs(n, edges, z):
+                continue
+            masks = Graph(n, edges).adjacency_masks()
+            if any(_fort_witness(masks, k, z) != first_failing(n, edges, k)
+                   for k in range(n + 1)):
+                break
+        else:
+            pytest.fail("every non-forcing root set gave every answer")
 
     @given(min_degree_four_graphs())
     @settings(max_examples=60, deadline=None)
@@ -542,7 +607,7 @@ class TestFortRoute:
             assert budgeted_outcome(failed_zero_forcing_number, g, budget) == expected, budget
 
     def test_route_needs_minimum_degree_four(self, monkeypatch):
-        def refuse(adj, k):
+        def refuse(adj, k, roots):
             raise AssertionError("fort search")
 
         monkeypatch.setattr(solvers, "_fort_witness", refuse)
@@ -563,9 +628,9 @@ class TestFortRoute:
         # other one
         seen = []
 
-        def search(adj, k):
+        def search(adj, k, roots):
             seen.append(k)
-            return _fort_witness(adj, k)
+            return _fort_witness(adj, k, roots)
 
         monkeypatch.setattr(solvers, "_fort_witness", search)
         res = failed_zero_forcing_number(generate(parse_family(spec)))
@@ -579,8 +644,8 @@ class TestFortRoute:
         # search needs to stop early on finding it
         returned = []
 
-        def search(adj, k):
-            hit = _fort_witness(adj, k)
+        def search(adj, k, roots):
+            hit = _fort_witness(adj, k, roots)
             returned.append((k, hit))
             return hit
 
@@ -597,9 +662,14 @@ class TestFortRoute:
     ])
     def test_route_grows_no_closure_after_a_search(self, monkeypatch, spec, grown):
         # the next-vertex step grows cl(W) by the next vertex while W is
-        # {0..k-1}, up to the first stratum it does not decide; after a
-        # search the state is V, and cl(W) is not recomputed.  Closures of
-        # V return at once and are not counted.
+        # {0..k-1}, up to the first stratum it does not decide, {0..m}.
+        # Then {0..m} is thinned to the search's roots, one closure
+        # cl({0..j-1} + kept) for each j from m - 1 down, `kept` growing by
+        # j when it is not V: the roots are {0, 1, 5, 10} on kxp:4,5.  On
+        # kmn:6,6 and complete:8 the search has n - k = 1 and starts from
+        # {0..m}, with no thinning.  After a search the state is V, and
+        # cl(W) is not recomputed.  Closures of V return at once and are
+        # not counted.
         added = []
 
         def closure(adj, closed, add, stop=0):
@@ -609,7 +679,13 @@ class TestFortRoute:
 
         monkeypatch.setattr(solvers, "fixpoint_from", closure)
         failed_zero_forcing_number(generate(parse_family(spec)))
-        assert added == [1 << v for v in range(grown)]
+        thinned = {
+            "kxp:4,5": [((10,), 5), ((5, 10), 4), ((1, 5, 10), 1)],
+            "kxp:6,4": [((16,), 4), ((12, 16), 4), ((8, 12, 16), 4), ((4, 8, 12, 16), 3),
+                        ((1, 4, 8, 12, 16), 1)],
+        }.get(spec, [])
+        thinning = [sum(1 << v for v in kept) for kept, times in thinned for _ in range(times)]
+        assert added == [1 << v for v in range(grown)] + thinning
 
     @pytest.mark.parametrize("forts", [False, True])
     def test_either_route_on_any_graph(self, forts):
@@ -634,6 +710,23 @@ class TestFortRoute:
                 expected = oracles.reference_budgeted("failed_zero_forcing_number", n, edges,
                                                       budget)
                 assert budgeted_outcome(solve, g, budget) == expected, (n, edges, budget)
+
+    def test_search_work_per_stratum(self, monkeypatch):
+        # the adjacency lookups of each search of F(kxp:4,5): the pin fails
+        # when the search starts from every vertex instead of the thinned
+        # roots {0, 1, 5, 10}, or without the `late` cut or the break on a
+        # violated vertex with fewer than two options
+        work = {}
+
+        def search(adj, k, roots):
+            counted = CountedAdjacency(adj)
+            hit = _fort_witness(counted, k, roots)
+            work[k] = counted.lookups
+            return hit
+
+        monkeypatch.setattr(solvers, "_fort_witness", search)
+        assert failed_zero_forcing_number(generate(parse_family("kxp:4,5"))).value == 14
+        assert work == {11: 99, 12: 191, 13: 608, 14: 538, 15: 792}
 
     def test_route_scans_only_the_empty_stratum(self, monkeypatch):
         # the empty stratum is decided before the ascent, and every stratum
