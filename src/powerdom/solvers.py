@@ -21,13 +21,24 @@ a zero-forcing closure that reaches it), and a prefix with one completion
 left is decided by one closure.  A failed-parameter solve that runs out of
 budget reports the largest failing set it had found.
 
+Every stratum is counted by one rule, in `_solve`, whatever route found
+its hit: it spends the subsets a colex scan that decides one subset at a
+time would decide, the hit's colex rank plus one, or comb(n, k) with no
+hit.  A hit W + top, W the witness of the stratum before and top above
+max(W), ranks comb(top, k) after W, the k-sets that end below top; any
+other hit is ranked in full.  So `calls`, the witness and a budget's
+outcome do not depend on the route.  The budget is a hard stop: a scan
+that could pass it searches only the sets of colex rank at most `rest`,
+the budget left, and the set of rank `rest` itself is refused with every
+other stratum that spends more than is left.
+
 A failed stratum k + 1 of power domination or zero forcing is first tried
 on W + m, W the witness of stratum k and m = max(W) + 1.  W + m fails when
 W's state grown by m is not V (zero forcing: cl(W + m); power domination:
 cl(N[W + m])).  The k least elements of a failing (k + 1)-set fail, so
 they come no earlier than W and the set ends at m or above: W + m is the
-colex-first failing set, and it spends its colex rank plus one, as the
-scan would.  Each route grows the state as far as it can afford.  The scan
+colex-first failing set, the hit a scan would find.  Each route grows
+the state as far as it can afford.  The scan
 route, which hands each hit's state on, tests only whether m adds nothing
 to it (m in cl(W); N[m] in cl(N[W])), a mask check, so a miss costs
 nothing.  The fort route grows the closure, as each of its hits did on the
@@ -43,10 +54,8 @@ neighbor in; a set fails to force exactly when it misses a fort, so the
 colex-first failing k-set is the colex-least choice of the k least
 vertices outside a fort of at most n - k vertices, and no k-set fails once
 no fort is that small.  A branch-and-bound over forts finds that set
-directly, after the next-vertex step, and the stratum counts the subsets
-its scan would decide: the set's colex rank plus one, or all comb(n, k)
-when none fails.  So `calls`, the witness and a budget's outcome do not
-depend on the route.  Every fort meets every zero forcing set Z, so the
+directly, after the next-vertex step: the hit a scan would find.  Every
+fort meets every zero forcing set Z, so the
 search starts only from Z's vertices, each keeping out those of Z below
 it.  Z is {0..m}, the first prefix that forces, thinned from the top by
 one closure per vertex when n - k > 4 at the first search ({0, 1, 5, 10}
@@ -57,6 +66,7 @@ by up to a factor of 28 on wheel:30, though it won on kxp:3,5 and kxp:3,6.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from math import comb
 from typing import Iterator, NamedTuple
 
@@ -135,11 +145,11 @@ def _grow_dependent(adj, full, neighbors, bits, dead):
     return neighbors
 
 
-def _scan_stratum(adj, full, k, grow, want, cap, least=()):
-    """Colex-first k-subset mask whose predicate value is `want` (or None),
-    the number of subsets decided to find it and the state `grow` gave it
-    (None without a hit or with `want`), for k >= 1; a scan that would
-    decide more than `cap` subsets stops and returns (None, cap + 1, None).
+def _scan_stratum(adj, full, k, grow, want, rest=None, least=()):
+    """Colex-first k-subset mask whose predicate value is `want`, and the
+    state `grow` gave it (None with `want`), or (None, None) without a
+    hit, for k >= 1.  With `rest`, only the sets of colex rank at most
+    `rest` are searched.
 
     The scan is depth first, largest element first, and each child's state
     grows from its prefix's.  With `want`, as in the ascent, every smaller
@@ -159,59 +169,54 @@ def _scan_stratum(adj, full, k, grow, want, cap, least=()):
     colex-before the rest.  A single-completion child v == r is reached only
     when `least[r] == r`, and then `least[j] == j` for every j < r (the
     colex-first failing sets are {0..j}), so no element of its completion
-    sits below its bound.  Counts and hits are those of a scan that decides
-    one subset at a time.
+    sits below its bound.  Within a node, child v's sets follow the
+    comb(v, r + 1) sets of the children below it, so a node given `rest`
+    stops at the last child that starts within it and hands that child
+    what is left.  The hit is that of a scan that decides one subset at a
+    time.
     """
-    calls = 0
 
-    def spend(count):
-        nonlocal calls
-        calls += count
-        if calls > cap:
-            raise BudgetExceeded(cap + 1, cap)
-
-    def scan(prefix, state, hi, r, dead):
-        """First hit among prefix + v + r elements below v, r <= v < hi."""
+    # `scan` reuses `bit` and `grown` to keep its frame small.  CPython
+    # 3.11 allocates frames in 16 KiB chunks and frees a chunk when the
+    # frame at its start returns, so a recursion that keeps crossing a
+    # chunk edge pays for a chunk per call: with two more locals, the
+    # gamma_bar_p refusal of the diamond gadget ran 1.5 times as long.
+    def scan(prefix, state, hi, r, dead, rest):
+        """First hit among prefix + v + r elements below v, r <= v < hi,
+        of rank at most `rest` among those sets when it is given."""
+        if rest is not None:
+            hi = bisect_right(range(hi), rest, key=lambda v: comb(v, r + 1))
         lo = r
         if least and least[r] > r:
             lo = min(least[r], hi)
-            spend(comb(lo, r + 1))  # sum of comb(v, r) for r <= v < lo
         if not r:
-            # the most numerous nodes: each child is one whole subset, and
-            # the subsets decided are spent once, at the hit or at the end
+            # the most numerous nodes: each child is one whole subset
             for v in range(lo, hi):
                 bit = 1 << v
                 grown = None if bit & dead else grow(adj, full, state, bit, dead)
                 if (grown is None) == want:
-                    spend(v - lo + 1)
                     return prefix | bit, grown
-            spend(hi - lo)
             return None
         for v in range(lo, hi):
             bit = 1 << v
             if v == r:
-                # one completion, prefix + {0..r}
-                bits = (bit << 1) - 1
-                spend(1)
-                grown = grow(adj, full, state, bits, dead)
+                # one completion, prefix + {0..r}, its bits in `bit`
+                bit = (bit << 1) - 1
+                grown = grow(adj, full, state, bit, dead)
                 if (grown is None) == want:
-                    return prefix | bits, grown
+                    return prefix | bit, grown
                 continue
-            child = None if bit & dead else grow(adj, full, state, bit, dead)
-            if child is None:
-                spend(comb(v, r))
+            grown = None if bit & dead else grow(adj, full, state, bit, dead)
+            if grown is None:
                 dead |= bit
             else:
-                hit = scan(prefix | bit, child, v, r - 1, dead)
+                left = None if rest is None or v < hi - 1 else rest - comb(v, r + 1)
+                hit = scan(prefix | bit, grown, v, r - 1, dead, left)
                 if hit is not None:
                     return hit
         return None
 
-    try:
-        hit, grown = scan(0, 0, len(adj), k - 1, 0) or (None, None)
-    except BudgetExceeded:
-        return None, cap + 1, None
-    return hit, calls, grown
+    return scan(0, 0, len(adj), k - 1, 0, rest) or (None, None)
 
 
 def _colex_rank(bits):
@@ -311,7 +316,11 @@ def _solve(g: Graph, parameter: str, grow, want: bool, budget: int,
     A failed stratum of power domination or zero forcing is first tried on
     the witness before it plus its next vertex (module docstring); when
     that set does not fail, the stratum is scanned, or with `forts` (failed
-    zero forcing only) found by the fort search, with the counts of a scan.
+    zero forcing only) found by the fort search.  Whatever the route, the
+    stratum spends its hit's colex rank plus one, or comb(n, k) with no
+    hit.  A scan that could spend more than the budget left is given that
+    much as `rest`, so it searches no set that the budget could not pay
+    for, and the set of rank `rest` it may return is refused below.
     """
     if g.n < 1:
         raise ValueError("solvers require at least one vertex")
@@ -321,8 +330,8 @@ def _solve(g: Graph, parameter: str, grow, want: bool, budget: int,
         raise BudgetExceeded(budget + 1, budget)
     n = g.n
     adj, full = g.adjacency_masks(), (1 << n) - 1
-    calls = spent = 1
-    witness = VertexSet(n, 0)
+    calls = 1
+    witness, rank = VertexSet(n, 0), 0  # and its colex rank
     # failing sets only: tops[j - 1] is the largest element of the
     # colex-first failing j-set.  The j least elements of a failing k-set
     # fail too, so come no earlier in colex order and end at or above it.
@@ -341,8 +350,7 @@ def _solve(g: Graph, parameter: str, grow, want: bool, budget: int,
         if grown != full:
             if forts:
                 prefix.append(state)
-            # W + m fails; ranked as W, after the k-sets below m
-            hit, spent, state = witness.bits | 1 << m, spent + comb(m, k), grown
+            hit, state = witness.bits | 1 << m, grown
         elif forts:
             if roots is None:
                 # {0..m} forces.  Thinning costs more than it saves in
@@ -350,10 +358,18 @@ def _solve(g: Graph, parameter: str, grow, want: bool, budget: int,
                 # later search has a smaller n - k.
                 roots = _thinned(adj, full, prefix) if n - k > 4 else range(m + 1)
             hit, state = _fort_witness(adj, k, roots), full
-            spent = comb(n, k) if hit is None else _colex_rank(hit) + 1
         else:
             least = (*tops, m) if tops else ()
-            hit, spent, state = _scan_stratum(adj, full, k, grow, want, budget - calls, least)
+            rest = budget - calls if comb(n, k) > budget - calls else None
+            hit, state = _scan_stratum(adj, full, k, grow, want, rest, least)
+        # the subsets a colex scan decides: all of them, or up to the hit;
+        # W + top ranks after W, past the k-sets that end below top
+        if hit is None:
+            spent = comb(n, k)
+        else:
+            top = hit.bit_length() - 1
+            rank = rank + comb(top, k) if hit ^ 1 << top == witness.bits else _colex_rank(hit)
+            spent = rank + 1
         if spent > budget - calls:
             proven = () if want else (len(witness), witness.members())
             raise BudgetExceeded(budget + 1, budget, *proven)
@@ -365,7 +381,7 @@ def _solve(g: Graph, parameter: str, grow, want: bool, budget: int,
             return SolverResult(parameter, k - 1, witness, calls)
         else:
             witness = VertexSet(n, hit)
-            tops.append(hit.bit_length() - 1)
+            tops.append(top)
     # the full vertex set fails too: an edgeless graph is not dependent
     return SolverResult(parameter, n, witness, calls)
 

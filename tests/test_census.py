@@ -1,8 +1,10 @@
 """Exhaustive checks on every graph with 1 to 7 vertices, one graph per
 isomorphism class (`census.py`).  Where the random sweeps of the other
 suites sample, these enumerate: the paper's extremal characterization,
-gamma_bar_p <= F, every solver against the per-subset reference scan,
-and every verdict of `classify` on every set of every graph with n <= 6."""
+its cut-vertex theorem, gamma_bar_p <= F, every solver against the
+per-subset reference scan, and every verdict of `classify` on every set
+of every graph with n <= 6; the budget sweep of every graph with n <= 6
+is in `test_solvers.py`."""
 
 from collections import Counter
 from functools import lru_cache
@@ -80,6 +82,27 @@ def test_criterion_7_on_every_graph(n):
         predicted = extremal_gamma_bar(g)
         assert (predicted is not None) == (value in {n - 1, n - 2, n - 3}), g.edges()
         assert predicted is None or predicted == value, g.edges()
+
+
+def test_criterion_9_on_every_connected_graph():
+    # a connected graph with gamma_bar_p = 0 has a pendant or a cut vertex
+    # only if it is a path, and connectivity >= 2 if it is not one; the
+    # cut vertices and the connectivity by brute force
+    zero = non_paths = 0
+    for n in SIZES:
+        for g, value, _ in failed_values(n):
+            edges = g.edges()
+            if value or not oracles.is_connected(n, edges):
+                continue
+            zero += 1
+            degrees = Counter(v for edge in edges for v in edge)
+            path = len(edges) == n - 1 and max(degrees.values(), default=0) <= 2
+            if 1 in degrees.values() or oracles.brute_cut_vertices(n, edges):
+                assert path, edges
+            if not path:
+                non_paths += 1
+                assert oracles.brute_connectivity(n, edges) >= 2, edges
+    assert (zero, non_paths) == (80, 73)
 
 
 @pytest.mark.parametrize("n", SIZES)

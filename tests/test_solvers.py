@@ -1,6 +1,7 @@
 import pickle
 import random
 from itertools import accumulate
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +33,7 @@ from powerdom import solvers
 from powerdom.graphs import closed_neighborhood_bits
 from powerdom.propagation import fixpoint_from
 
+import census
 import oracles
 from contracts import assert_value_type
 
@@ -299,8 +301,7 @@ class TestScanMatchesReference:
         # the stratum scan on its own, for both answers, on the strata the
         # ascent reaches: k >= 1, and a satisfying set is asked for only up
         # to the least size that has one, below which every set fails.  A
-        # failing hit comes with its state, a satisfying one with None.  A
-        # cap one short of the subsets decided runs out: (None, cap + 1, None)
+        # failing hit comes with its state, a satisfying one with None
         rng = random.Random(44)
         for _ in range(15):
             n, edges = oracles.random_graph(rng, rng.randint(1, 8), rng.choice([0.2, 0.5, 0.8]))
@@ -310,21 +311,20 @@ class TestScanMatchesReference:
                 satisfied = False  # a smaller stratum held a satisfying set
                 for k in range(1, n + 1):
                     for want in (False,) if satisfied else (True, False):
-                        hit, calls, state = _scan_stratum(adj, full, k, GROW[name], want, 10**9)
                         ref_hit, ref_calls = oracles.scan_stratum(
                             n, k, lambda s: pred(s) == want)
-                        ref_mask = None if ref_hit is None else sum(1 << v for v in ref_hit)
                         ref_state = None if want or ref_hit is None else states[name](ref_hit)
-                        assert (hit, calls, state) == (ref_mask, ref_calls, ref_state), \
-                            (name, k, want)
-                        assert _scan_stratum(adj, full, k, GROW[name], want, calls - 1) \
-                            == (None, calls, None), (name, k, want)
+                        hit = assert_scan_matches(adj, full, k, GROW[name], want, (),
+                                                  ref_hit, ref_calls, ref_state)
                         satisfied |= want and hit is not None
 
     def test_each_stratum_with_the_bound(self):
         # a failed-parameter stratum skips the children below `least`, built
-        # from the colex-first failing sets of the strata below
+        # from the colex-first failing sets of the strata below.  A hit that
+        # is the hit before plus its own largest element `top` ranks
+        # comb(top, k) after it
         rng = random.Random(45)
+        shortcuts = 0
         for _ in range(15):
             n, edges = oracles.random_graph(rng, rng.randint(1, 8), rng.choice([0.2, 0.5, 0.8]))
             adj, full = Graph(n, edges).adjacency_masks(), (1 << n) - 1
@@ -332,19 +332,22 @@ class TestScanMatchesReference:
             states = oracles.predicate_states(n, edges)
             for name in ("pds", "zfs", "dependent"):
                 fails = lambda s, pred=preds[name]: not pred(s)
-                tops = []
+                tops, before, before_calls = [], 0, 1
                 for k in range(1, n + 1):
                     least = (*tops, tops[-1] + 1) if tops else ()
-                    hit, calls, state = _scan_stratum(adj, full, k, GROW[name], False, 10**9,
-                                                      least)
                     ref_hit, ref_calls = oracles.scan_stratum(n, k, fails)
-                    ref_mask = None if ref_hit is None else sum(1 << v for v in ref_hit)
                     ref_state = None if ref_hit is None else states[name](ref_hit)
-                    assert (hit, calls, state) == (ref_mask, ref_calls, ref_state), \
-                        (name, k, least)
-                    if ref_hit is None:
+                    hit = assert_scan_matches(adj, full, k, GROW[name], False, least,
+                                              ref_hit, ref_calls, ref_state)
+                    if hit is None:
                         break
-                    tops.append(ref_hit[-1])
+                    top = ref_hit[-1]
+                    if hit ^ 1 << top == before:
+                        assert before_calls + comb(top, k) == ref_calls, (name, k)
+                        shortcuts += 1
+                    tops.append(top)
+                    before, before_calls = hit, ref_calls
+        assert shortcuts >= 80
 
     def test_budget_runs_out_inside_a_settled_subtree(self):
         # a star with its center last: in the certifying stratum (k = 5) the
@@ -382,12 +385,38 @@ class TestScanMatchesReference:
             assert_budget_sweep(*oracles.random_graph(rng, rng.randint(8, 11),
                                                       rng.choice([0.5, 0.7, 0.9])))
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_census_budget_sweep(self, n):
+        # every graph on up to 6 vertices, one per isomorphism class
+        for edges in census.graphs(n):
+            assert_budget_sweep(n, edges)
+
     def test_failed_budget_sweep(self):
         # a solve succeeds iff the budget covers every subset it decides
         rng = random.Random(46)
         for _ in range(10):
             assert_budget_sweep(*oracles.random_graph(rng, rng.randint(2, 10),
                                                       rng.choice([0.2, 0.5, 0.8])))
+
+
+def assert_scan_matches(adj, full, k, grow, want, least, ref_hit, ref_calls, ref_state):
+    """`_scan_stratum` against the per-subset reference scan of its
+    stratum, which found `ref_hit` (or None) after deciding `ref_calls`
+    subsets: the hit and its state; the count `_solve` gives the stratum,
+    the hit's colex rank plus one or comb(n, k) without one; and every
+    window `rest` below comb(n, k), which holds the hit exactly when `rest`
+    is at least its rank.  Returns the hit as a mask."""
+    n = len(adj)
+    ref_mask = None if ref_hit is None else sum(1 << v for v in ref_hit)
+    got = _scan_stratum(adj, full, k, grow, want, None, least)
+    assert got == (ref_mask, ref_state), (k, want, least)
+    count = comb(n, k) if ref_mask is None else solvers._colex_rank(ref_mask) + 1
+    assert count == ref_calls, (k, want, least)
+    for rest in range(comb(n, k)):
+        window = got if rest >= ref_calls - 1 else (None, None)
+        assert _scan_stratum(adj, full, k, grow, want, rest, least) == window, \
+            (k, want, least, rest)
+    return ref_mask
 
 
 def budgeted_outcome(solve, g, budget):
