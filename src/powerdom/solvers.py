@@ -152,10 +152,12 @@ def _scan_stratum(adj, full, k, grow, want, rest=None, least=()):
     `rest` are searched.
 
     The scan is depth first, largest element first, and each child's state
-    grows from its prefix's.  With `want`, as in the ascent, every smaller
-    set fails, so no prefix above the leaves satisfies the predicate.
-    Without it, a prefix that does is skipped with its whole subtree (every
-    subset in it decided), and such a child v is dead in the rest of the
+    grows from its prefix's.  It walks an explicit path, one entry per
+    element placed, so its depth is bounded by memory, not by the recursion
+    limit.  With `want`, as in the ascent, every smaller set fails, so no
+    prefix above the leaves satisfies the predicate.  Without it, a prefix
+    that does is skipped with its whole subtree (every subset in it
+    decided), and such a child v is dead in the rest of the
     scan below this node: every set that holds v and extends the node's
     prefix satisfies the predicate too, so a dead child is settled with no
     closure, and a zero-forcing closure stops once it monitors a dead
@@ -176,28 +178,26 @@ def _scan_stratum(adj, full, k, grow, want, rest=None, least=()):
     time.
     """
 
-    # `scan` reuses `bit` and `grown` to keep its frame small.  CPython
-    # 3.11 allocates frames in 16 KiB chunks and frees a chunk when the
-    # frame at its start returns, so a recursion that keeps crossing a
-    # chunk edge pays for a chunk per call: with two more locals, the
-    # gamma_bar_p refusal of the diamond gadget ran 1.5 times as long.
-    def scan(prefix, state, hi, r, dead, rest):
-        """First hit among prefix + v + r elements below v, r <= v < hi,
-        of rank at most `rest` among those sets when it is given."""
+    # a node searches prefix + v + r elements below v, r <= v < hi, of rank
+    # at most `rest` among those sets when it is given; `path` holds
+    # (prefix, state, next child, hi, r, dead, rest) of each node above it
+    path, prefix, state, hi, r, dead = [], 0, 0, len(adj), k - 1, 0
+    while True:
         if rest is not None:
             hi = bisect_right(range(hi), rest, key=lambda v: comb(v, r + 1))
-        lo = r
-        if least and least[r] > r:
-            lo = min(least[r], hi)
+        v = min(least[r], hi) if least and least[r] > r else r
         if not r:
             # the most numerous nodes: each child is one whole subset
-            for v in range(lo, hi):
+            for v in range(v, hi):
                 bit = 1 << v
                 grown = None if bit & dead else grow(adj, full, state, bit, dead)
                 if (grown is None) == want:
                     return prefix | bit, grown
-            return None
-        for v in range(lo, hi):
+            v = hi
+        while v < hi or path:
+            if v == hi:
+                prefix, state, v, hi, r, dead, rest = path.pop()
+                continue
             bit = 1 << v
             if v == r:
                 # one completion, prefix + {0..r}, its bits in `bit`
@@ -205,18 +205,18 @@ def _scan_stratum(adj, full, k, grow, want, rest=None, least=()):
                 grown = grow(adj, full, state, bit, dead)
                 if (grown is None) == want:
                     return prefix | bit, grown
-                continue
-            grown = None if bit & dead else grow(adj, full, state, bit, dead)
-            if grown is None:
-                dead |= bit
             else:
-                left = None if rest is None or v < hi - 1 else rest - comb(v, r + 1)
-                hit = scan(prefix | bit, grown, v, r - 1, dead, left)
-                if hit is not None:
-                    return hit
-        return None
-
-    return scan(0, 0, len(adj), k - 1, 0, rest) or (None, None)
+                grown = None if bit & dead else grow(adj, full, state, bit, dead)
+                if grown is None:
+                    dead |= bit
+                else:
+                    path.append((prefix, state, v + 1, hi, r, dead, rest))
+                    rest = None if rest is None or v < hi - 1 else rest - comb(v, r + 1)
+                    prefix, state, hi, r = prefix | bit, grown, v, r - 1
+                    break
+            v += 1
+        else:
+            return None, None
 
 
 def _colex_rank(bits):

@@ -1,5 +1,7 @@
+import inspect
 import pickle
 import random
+import sys
 from itertools import accumulate
 from math import comb
 
@@ -932,6 +934,20 @@ class TestExactRegressions:
         assert (res.value, res.propagation_calls) == (380, 983935700235556674738194054334935)
         assert len(res.witness) == 380
         assert not oracles.is_zfs(g.n, g.edges(), res.witness.members())
+
+    def test_scan_depth_is_not_bounded_by_the_recursion_limit(self):
+        # the certifying stratum 133 is scanned 133 elements deep, and the
+        # solve must still fit in 60 frames below the recursion limit
+        g = generate(parse_family("grid:12,12"))
+        want = failed_zero_forcing_number(g, budget=10**20)
+        assert want.value == 132
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+        try:
+            got = failed_zero_forcing_number(g, budget=10**20)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == want
 
 
 def grid(m, n):
