@@ -54,8 +54,10 @@ neighbor in; a set fails to force exactly when it misses a fort, so the
 colex-first failing k-set is the colex-least choice of the k least
 vertices outside a fort of at most n - k vertices, and no k-set fails once
 no fort is that small.  A branch-and-bound over forts finds that set
-directly, after the next-vertex step: the hit a scan would find.  Every
-fort meets every zero forcing set Z, so the
+directly, after the next-vertex step: the hit a scan would find.  A
+node with one vertex left to add tries only the vertices adjacent or equal
+to every vertex it leaves violated, as no other can complete a fort, and
+pushes no child.  Every fort meets every zero forcing set Z, so the
 search starts only from Z's vertices, each keeping out those of Z below
 it.  Z is {0..m}, the first prefix that forces, thinned from the top by
 one closure per vertex when n - k > 4 at the first search ({0, 1, 5, 10}
@@ -242,7 +244,11 @@ def _fort_witness(adj, k, roots):
     highest first: high vertices in F keep low ones outside it.  The k
     least vertices outside F only rise, elementwise and so in colex order,
     as F grows, so a node whose k least outside vertices come no earlier
-    than the best candidate is cut.
+    than the best candidate is cut.  A node with one free slot left tests
+    its children in place and pushes none: F + v clears a violated u only
+    when v is in N[u], so only the allowed vertices in every such N[u] can
+    make a fort, and the least candidate among those forts is the one a
+    pushed child would have given.
     """
     n = len(adj)
     full, first = (1 << n) - 1, (1 << k) - 1
@@ -263,7 +269,7 @@ def _fort_witness(adj, k, roots):
         if not bad:
             best = outside
             continue
-        if size == n - k:
+        if size == n - k:  # a root, when n - k == 1
             continue
         # a vertex u of `outside` that joins F gives way to `after`, the
         # next vertex outside F; u is cut in this subtree once that set
@@ -273,6 +279,22 @@ def _fort_witness(adj, k, roots):
         late = (outside | after) - best
         if late > 0:
             allowed &= ~(outside & (1 << late.bit_length()) - 1)
+        if size + 1 == n - k:
+            # one slot left: F + v clears every violated u only when v is in
+            # each N[u]; then it is a fort when every neighbor of v is in F
+            # or in `ones`, so that none has exactly one neighbor in F + v
+            while bad and allowed:
+                low = bad & -bad
+                bad ^= low
+                allowed &= adj[low.bit_length() - 1] | low
+            while allowed:
+                low = allowed & -allowed
+                allowed ^= low
+                if not adj[low.bit_length() - 1] & ~(ones | fort):
+                    grown = outside ^ (low | after) if outside & low else outside
+                    if grown < best:
+                        best = grown
+            continue
         options, count = 0, n + 1
         while bad:
             low = bad & -bad

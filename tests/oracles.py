@@ -125,14 +125,19 @@ def brute_alpha(n, edges):
     return 0
 
 
+def is_fort(adj, f):
+    """Whether the nonempty set `f` is a fort of the graph with neighbor
+    sets `adj`: no vertex outside f has exactly one neighbor in it."""
+    inside = set(f)
+    return all(len(adj[v] & inside) != 1 for v in range(len(adj)) if v not in inside)
+
+
 def brute_min_fort(n, edges):
-    """Fewest vertices of a fort: a nonempty set F such that no vertex
-    outside F has exactly one neighbor in F (None for the empty graph)."""
+    """Fewest vertices of a fort (None for the empty graph)."""
     adj = adj_of(n, edges)
     for k in range(1, n + 1):
         for f in combinations(range(n), k):
-            inside = set(f)
-            if all(len(adj[v] & inside) != 1 for v in range(n) if v not in inside):
+            if is_fort(adj, f):
                 return k
     return None
 

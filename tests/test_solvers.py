@@ -2,7 +2,7 @@ import inspect
 import pickle
 import random
 import sys
-from itertools import accumulate
+from itertools import accumulate, combinations
 from math import comb
 
 import pytest
@@ -561,6 +561,27 @@ class TestFortRoute:
                 assert _fort_witness(masks, k, range(n)) == first_failing(n, edges, k), \
                     (n, edges, k)
 
+    def test_fort_witness_on_min_degree_four(self):
+        # as above, on graphs of minimum degree 4 with 8 to 16 vertices.
+        # W fails, so it misses a fort inside its complement; when no
+        # smaller fort lies there, the complement, of n - k >= 2 vertices,
+        # is the only fort that yields W, and no node of that size is ever
+        # pushed: W was found by the test at a node with one free slot
+        rng = random.Random(64)
+        last_slot = 0
+        for _ in range(12):
+            n, edges = oracles.random_graph(rng, rng.randint(8, 16), rng.choice([0.2, 0.3, 0.5]))
+            edges = joined_to_degree_four(n, edges)
+            masks, adj = Graph(n, edges).adjacency_masks(), oracles.adj_of(n, edges)
+            for k in range(n + 1):
+                hit = first_failing(n, edges, k)
+                assert _fort_witness(masks, k, range(n)) == hit, (n, edges, k)
+                if hit is not None and n - k >= 2:
+                    rest = [v for v in range(n) if not hit >> v & 1]
+                    last_slot += not any(oracles.is_fort(adj, f) for size in range(1, n - k)
+                                         for f in combinations(rest, size))
+        assert last_slot >= 10
+
     def test_roots_may_be_any_zero_forcing_set(self, monkeypatch):
         # every fort meets every zero forcing set, so a search from the
         # solver's roots, from random forcing sets or from V gives one
@@ -745,8 +766,9 @@ class TestFortRoute:
     def test_search_work_per_stratum(self, monkeypatch):
         # the adjacency lookups of each search of F(kxp:4,5): the pin fails
         # when the search starts from every vertex instead of the thinned
-        # roots {0, 1, 5, 10}, or without the `late` cut or the break on a
-        # violated vertex with fewer than two options
+        # roots {0, 1, 5, 10}, without the `late` cut or the break on a
+        # violated vertex with fewer than two options, or when a node with
+        # one free slot pushes its children instead of testing them
         work = {}
 
         def search(adj, k, roots):
@@ -757,7 +779,7 @@ class TestFortRoute:
 
         monkeypatch.setattr(solvers, "_fort_witness", search)
         assert failed_zero_forcing_number(generate(parse_family("kxp:4,5"))).value == 14
-        assert work == {11: 99, 12: 191, 13: 608, 14: 538, 15: 792}
+        assert work == {11: 90, 12: 181, 13: 524, 14: 503, 15: 635}
 
     def test_route_scans_only_the_empty_stratum(self, monkeypatch):
         # the empty stratum is decided before the ascent, and every stratum
