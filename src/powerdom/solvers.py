@@ -108,50 +108,44 @@ def colex_masks(n: int, k: int) -> Iterator[int]:
 # -- upward-closed subset predicates, as states grown a bitmask at a time --
 #
 # A scan prefix carries a state, 0 for the empty prefix (nothing closed,
-# dominated or adjacent); `grow(adj, full, state, bits, dead)` returns the
-# state of the prefix plus the vertices of `bits`, or None once that set
-# satisfies the predicate, and then so does every completion of it.  A
-# completed subset whose state is not None fails the predicate.  Each
-# vertex of `dead` satisfies the predicate together with a subset of the
-# prefix; only zero forcing uses them, to stop a closure early.
+# dominated or adjacent); `grow(adj, state, bits, dead)` returns the state
+# of the prefix plus the vertices of `bits`.  A set satisfies the predicate
+# when its state is `done`, and then so does every completion of it: V for
+# the closures and for domination, -1 for dependence, which no neighbor
+# mask equals.  Each vertex of `dead` satisfies the predicate together with
+# a subset of the prefix; only zero forcing, whose `grow` is `fixpoint_from`
+# itself, uses them, to stop a closure early.
 
 
-def _grow_pds(adj, full, closed, bits, dead):
+def _grow_pds(adj, closed, bits, dead):
     # no early stop: a dead w completes the prefix once N[w] is in it, not w
-    closed = fixpoint_from(adj, closed, closed_neighborhood_bits(adj, bits))
-    return None if closed == full else closed
+    return fixpoint_from(adj, closed, _grow_dominating(adj, closed, bits, dead))
 
 
-def _grow_zfs(adj, full, closed, bits, dead):
-    closed = fixpoint_from(adj, closed, bits, dead)
-    return None if closed == full else closed
-
-
-def _grow_dominating(adj, full, dominated, bits, dead):
+def _grow_dominating(adj, dominated, bits, dead):
     if bits & (bits - 1):
-        dominated |= closed_neighborhood_bits(adj, bits)
-    else:  # one vertex, the scan's usual child: no call
-        dominated |= adj[bits.bit_length() - 1] | bits
-    return None if dominated == full else dominated
+        return dominated | closed_neighborhood_bits(adj, bits)
+    # one vertex, the scan's usual child: no call
+    return dominated | adj[bits.bit_length() - 1] | bits
 
 
-def _grow_dependent(adj, full, neighbors, bits, dead):
+def _grow_dependent(adj, neighbors, bits, dead):
     if not bits & (bits - 1):  # one vertex, the scan's usual child
-        return None if neighbors & bits else neighbors | adj[bits.bit_length() - 1]
+        return -1 if neighbors & bits else neighbors | adj[bits.bit_length() - 1]
     while bits:
         low = bits & -bits
         bits ^= low
         if neighbors & low:
-            return None
+            return -1
         neighbors |= adj[low.bit_length() - 1]
     return neighbors
 
 
-def _scan_stratum(adj, full, k, grow, want, rest=None, least=()):
+def _scan_stratum(adj, done, k, grow, want, rest=None, least=()):
     """Colex-first k-subset mask whose predicate value is `want`, and the
-    state `grow` gave it (None with `want`), or (None, None) without a
-    hit, for k >= 1.  With `rest`, only the sets of colex rank at most
-    `rest` are searched.
+    state `grow` gave it, `done` exactly when the set satisfies the
+    predicate; or (None, None) without a hit, for k >= 1.  With `rest`,
+    only the sets of colex rank at most `rest` are searched.
 
     The scan is depth first, largest element first, and each child's state
     grows from its prefix's.  It walks an explicit path, one entry per
@@ -192,8 +186,8 @@ def _scan_stratum(adj, full, k, grow, want, rest=None, least=()):
             # the most numerous nodes: each child is one whole subset
             for v in range(v, hi):
                 bit = 1 << v
-                grown = None if bit & dead else grow(adj, full, state, bit, dead)
-                if (grown is None) == want:
+                grown = done if bit & dead else grow(adj, state, bit, dead)
+                if (grown == done) is want:
                     return prefix | bit, grown
             v = hi
         while v < hi or path:
@@ -204,12 +198,12 @@ def _scan_stratum(adj, full, k, grow, want, rest=None, least=()):
             if v == r:
                 # one completion, prefix + {0..r}, its bits in `bit`
                 bit = (bit << 1) - 1
-                grown = grow(adj, full, state, bit, dead)
-                if (grown is None) == want:
+                grown = grow(adj, state, bit, dead)
+                if (grown == done) is want:
                     return prefix | bit, grown
             else:
-                grown = None if bit & dead else grow(adj, full, state, bit, dead)
-                if grown is None:
+                grown = done if bit & dead else grow(adj, state, bit, dead)
+                if grown == done:
                     dead |= bit
                 else:
                     path.append((prefix, state, v + 1, hi, r, dead, rest))
@@ -346,12 +340,16 @@ def _solve(g: Graph, parameter: str, grow, want: bool, budget: int,
     """
     if g.n < 1:
         raise ValueError("solvers require at least one vertex")
+    if not isinstance(budget, int):
+        raise TypeError(f"budget must be an int, got {type(budget).__name__}")
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     if budget < 1:
         raise BudgetExceeded(budget + 1, budget)
     n = g.n
     adj, full = g.adjacency_masks(), (1 << n) - 1
+    # the state of a satisfying set; no neighbor mask is -1
+    done = -1 if grow is _grow_dependent else full
     calls = 1
     witness, rank = VertexSet(n, 0), 0  # and its colex rank
     # failing sets only: tops[j - 1] is the largest element of the
@@ -383,7 +381,7 @@ def _solve(g: Graph, parameter: str, grow, want: bool, budget: int,
         else:
             least = (*tops, m) if tops else ()
             rest = budget - calls if comb(n, k) > budget - calls else None
-            hit, state = _scan_stratum(adj, full, k, grow, want, rest, least)
+            hit, state = _scan_stratum(adj, done, k, grow, want, rest, least)
         # the subsets a colex scan decides: all of them, or up to the hit;
         # W + top ranks after W, past the k-sets that end below top
         if hit is None:
@@ -423,7 +421,7 @@ def gamma_bar_p(g: Graph, budget: int = DEFAULT_BUDGET) -> SolverResult:
 
 
 def zero_forcing_number(g: Graph, budget: int = DEFAULT_BUDGET) -> SolverResult:
-    return _solve(g, "zero_forcing_number", _grow_zfs, True, budget)
+    return _solve(g, "zero_forcing_number", fixpoint_from, True, budget)
 
 
 def failed_zero_forcing_number(g: Graph, budget: int = DEFAULT_BUDGET) -> SolverResult:
@@ -432,7 +430,7 @@ def failed_zero_forcing_number(g: Graph, budget: int = DEFAULT_BUDGET) -> Solver
     On graphs of minimum degree at least 4 a fort search finds each
     stratum's witness, with the same value, witness and count.
     """
-    return _solve(g, "failed_zero_forcing_number", _grow_zfs, False, budget,
+    return _solve(g, "failed_zero_forcing_number", fixpoint_from, False, budget,
                   min(g.degrees(), default=0) >= 4)
 
 

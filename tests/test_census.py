@@ -136,7 +136,7 @@ def test_fort_route_matches_the_reference_scan(n):
     # minimum degree 4, on 34 of these 1,252 graphs
     for edges in census.graphs(n):
         res = solvers._solve(Graph(n, edges), "failed_zero_forcing_number",
-                             solvers._grow_zfs, False, solvers.DEFAULT_BUDGET, forts=True)
+                             solvers.fixpoint_from, False, solvers.DEFAULT_BUDGET, forts=True)
         got = (res.value, tuple(res.witness.members()), res.propagation_calls)
         assert got == oracles.reference_solve("failed_zero_forcing_number", n, edges), edges
 

@@ -24,18 +24,7 @@ from powerdom import (
 from powerdom.errors import DisconnectedInput
 
 import oracles
-
-
-def path(n):
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete(n):
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+from shapes import complete, cycle, path
 
 
 FIG3 = Graph(4, [(0, 1), (1, 2), (1, 3), (2, 3)])

@@ -25,6 +25,7 @@ from powerdom.propagation import fixpoint_bits, fixpoint_from, run_chain_bits
 
 import oracles
 from contracts import assert_value_type
+from shapes import complete, cycle, path, reference_closure
 
 GRID = generate(parse_family("grid:6,6"))
 FIG2_BLUE = [
@@ -35,18 +36,6 @@ FIG2_BLUE = [
     "40", "41", "42",
     "50", "51", "52", "53",
 ]
-
-
-def path(n):
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete(n):
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 class TestMonitoredFixpoint:
@@ -354,14 +343,6 @@ def test_gadget_lifts_agree_with_bitmask_kernel(monkeypatch):
         lifted = lift_independent_set(GADGET, GADGET_SOURCE.vertex_set(members))
         agrees_with_bitmask_kernel(GADGET.gprime, lifted)
         assert classify(GADGET.gprime, lifted).maximally_stalled == maximal
-
-
-def reference_closure(g: Graph, start: int) -> int:
-    """The last step of the reference chain `run_chain_bits`, checked
-    against the oracle's zero-forcing chain."""
-    closure = run_chain_bits(g.adjacency_masks(), start)[-1]
-    assert closure == oracles.zf_closure_bits(g.n, g.edges(), start)
-    return closure
 
 
 @pytest.mark.parametrize("spec", LARGE_SPARSE)

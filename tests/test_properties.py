@@ -15,7 +15,7 @@ from powerdom import (
 from powerdom.graphs import closed_neighborhood_bits
 from powerdom.propagation import fixpoint_from, run_chain_bits
 
-import oracles
+from shapes import reference_closure
 
 
 @st.composite
@@ -93,14 +93,6 @@ def test_trace_is_a_strict_chain(data):
         assert trace.stabilized_at <= g.n
         for a, b in zip(trace.steps, trace.steps[1:]):
             assert a.issubset(b) and len(b) > len(a)
-
-
-def reference_closure(g, start):
-    """The last step of the reference chain `run_chain_bits`, checked
-    against the oracle's zero-forcing chain."""
-    closure = run_chain_bits(g.adjacency_masks(), start)[-1]
-    assert closure == oracles.zf_closure_bits(g.n, g.edges(), start)
-    return closure
 
 
 @given(graphs(), st.data())

@@ -27,7 +27,6 @@ from powerdom.solvers import (
     _grow_dependent,
     _grow_dominating,
     _grow_pds,
-    _grow_zfs,
     _scan_stratum,
     colex_masks,
 )
@@ -38,18 +37,7 @@ from powerdom.propagation import fixpoint_from
 import census
 import oracles
 from contracts import assert_value_type
-
-
-def path(n):
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete(n):
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+from shapes import complete, cycle, path
 
 
 def star(leaves):
@@ -59,8 +47,14 @@ def star(leaves):
 FIG3 = Graph(4, [(0, 1), (1, 2), (1, 3), (2, 3)])
 
 
-GROW = {"pds": _grow_pds, "zfs": _grow_zfs, "dominating": _grow_dominating,
+GROW = {"pds": _grow_pds, "zfs": fixpoint_from, "dominating": _grow_dominating,
         "dependent": _grow_dependent}
+
+
+def done_state(name, n):
+    """The state `GROW[name]` gives a satisfying set on n vertices."""
+    return -1 if name == "dependent" else (1 << n) - 1
+
 
 SOLVERS = [gamma_p, gamma_bar_p, zero_forcing_number, failed_zero_forcing_number,
            domination_number, max_independent_set]
@@ -235,6 +229,13 @@ class TestSolverContract:
         with pytest.raises(ValueError):
             gamma_bar_p(cycle(5), budget=-3)
 
+    @pytest.mark.parametrize("solve", SOLVERS, ids=lambda solve: solve.__name__)
+    def test_budget_that_is_not_an_int_is_rejected(self, solve):
+        # a float budget would report calls == budget == 1e+20, not budget + 1
+        for budget in (1e20, "100"):
+            with pytest.raises(TypeError, match="^budget must be an int, got "):
+                solve(cycle(5), budget=budget)
+
     def test_zero_budget_spends_one(self):
         # exhaustion reports budget + 1 subsets decided, here the empty set
         for solve in SOLVERS:
@@ -303,20 +304,22 @@ class TestScanMatchesReference:
         # the stratum scan on its own, for both answers, on the strata the
         # ascent reaches: k >= 1, and a satisfying set is asked for only up
         # to the least size that has one, below which every set fails.  A
-        # failing hit comes with its state, a satisfying one with None
+        # failing hit comes with its state, a satisfying one with `done`
         rng = random.Random(44)
         for _ in range(15):
             n, edges = oracles.random_graph(rng, rng.randint(1, 8), rng.choice([0.2, 0.5, 0.8]))
-            adj, full = Graph(n, edges).adjacency_masks(), (1 << n) - 1
+            adj = Graph(n, edges).adjacency_masks()
             states = oracles.predicate_states(n, edges)
             for name, pred in oracles.subset_predicates(n, edges).items():
+                done = done_state(name, n)
                 satisfied = False  # a smaller stratum held a satisfying set
                 for k in range(1, n + 1):
                     for want in (False,) if satisfied else (True, False):
                         ref_hit, ref_calls = oracles.scan_stratum(
                             n, k, lambda s: pred(s) == want)
-                        ref_state = None if want or ref_hit is None else states[name](ref_hit)
-                        hit = assert_scan_matches(adj, full, k, GROW[name], want, (),
+                        ref_state = (None if ref_hit is None
+                                     else done if want else states[name](ref_hit))
+                        hit = assert_scan_matches(adj, done, k, GROW[name], want, (),
                                                   ref_hit, ref_calls, ref_state)
                         satisfied |= want and hit is not None
 
@@ -329,7 +332,7 @@ class TestScanMatchesReference:
         shortcuts = 0
         for _ in range(15):
             n, edges = oracles.random_graph(rng, rng.randint(1, 8), rng.choice([0.2, 0.5, 0.8]))
-            adj, full = Graph(n, edges).adjacency_masks(), (1 << n) - 1
+            adj = Graph(n, edges).adjacency_masks()
             preds = oracles.subset_predicates(n, edges)
             states = oracles.predicate_states(n, edges)
             for name in ("pds", "zfs", "dependent"):
@@ -339,8 +342,8 @@ class TestScanMatchesReference:
                     least = (*tops, tops[-1] + 1) if tops else ()
                     ref_hit, ref_calls = oracles.scan_stratum(n, k, fails)
                     ref_state = None if ref_hit is None else states[name](ref_hit)
-                    hit = assert_scan_matches(adj, full, k, GROW[name], False, least,
-                                              ref_hit, ref_calls, ref_state)
+                    hit = assert_scan_matches(adj, done_state(name, n), k, GROW[name], False,
+                                              least, ref_hit, ref_calls, ref_state)
                     if hit is None:
                         break
                     top = ref_hit[-1]
@@ -350,6 +353,22 @@ class TestScanMatchesReference:
                     tops.append(top)
                     before, before_calls = hit, ref_calls
         assert shortcuts >= 80
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_census_predicates_on_every_set(self, n):
+        # every nonempty set (a scan child adds at least one vertex) grown
+        # in one step from the empty prefix, so the multi-bit paths too: a
+        # failing set to its state, a satisfying one to `done`
+        for edges in census.graphs(n):
+            adj = Graph(n, edges).adjacency_masks()
+            preds = oracles.subset_predicates(n, edges)
+            states = oracles.predicate_states(n, edges)
+            for name, grow in GROW.items():
+                done = done_state(name, n)
+                for bits in range(1, 1 << n):
+                    s = [v for v in range(n) if bits >> v & 1]
+                    want = done if preds[name](s) else states[name](s)
+                    assert grow(adj, 0, bits, 0) == want, (name, edges, s)
 
     def test_budget_runs_out_inside_a_settled_subtree(self):
         # a star with its center last: in the certifying stratum (k = 5) the
@@ -401,7 +420,7 @@ class TestScanMatchesReference:
                                                       rng.choice([0.2, 0.5, 0.8])))
 
 
-def assert_scan_matches(adj, full, k, grow, want, least, ref_hit, ref_calls, ref_state):
+def assert_scan_matches(adj, done, k, grow, want, least, ref_hit, ref_calls, ref_state):
     """`_scan_stratum` against the per-subset reference scan of its
     stratum, which found `ref_hit` (or None) after deciding `ref_calls`
     subsets: the hit and its state; the count `_solve` gives the stratum,
@@ -410,13 +429,13 @@ def assert_scan_matches(adj, full, k, grow, want, least, ref_hit, ref_calls, ref
     is at least its rank.  Returns the hit as a mask."""
     n = len(adj)
     ref_mask = None if ref_hit is None else sum(1 << v for v in ref_hit)
-    got = _scan_stratum(adj, full, k, grow, want, None, least)
+    got = _scan_stratum(adj, done, k, grow, want, None, least)
     assert got == (ref_mask, ref_state), (k, want, least)
     count = comb(n, k) if ref_mask is None else solvers._colex_rank(ref_mask) + 1
     assert count == ref_calls, (k, want, least)
     for rest in range(comb(n, k)):
         window = got if rest >= ref_calls - 1 else (None, None)
-        assert _scan_stratum(adj, full, k, grow, want, rest, least) == window, \
+        assert _scan_stratum(adj, done, k, grow, want, rest, least) == window, \
             (k, want, least, rest)
     return ref_mask
 
@@ -487,9 +506,9 @@ def scanned_strata(monkeypatch):
     """The strata `_scan_stratum` is asked for, in order, from now on."""
     scanned = []
 
-    def scan(adj, full, k, *args):
+    def scan(adj, done, k, *args):
         scanned.append(k)
-        return _scan_stratum(adj, full, k, *args)
+        return _scan_stratum(adj, done, k, *args)
 
     monkeypatch.setattr(solvers, "_scan_stratum", scan)
     return scanned
@@ -602,7 +621,7 @@ class TestFortRoute:
             g = Graph(n, edges)
             masks = g.adjacency_masks()
             searched.clear()
-            solvers._solve(g, "failed_zero_forcing_number", _grow_zfs, False, 10**12, True)
+            solvers._solve(g, "failed_zero_forcing_number", fixpoint_from, False, 10**12, True)
             # every search has the same roots; thinned ones are not the
             # prefix {0..m} they came from
             roots = [range(n), *searched[:1]]
@@ -746,7 +765,7 @@ class TestFortRoute:
         # stratum's end: no route may change a value, witness, count or
         # budget outcome
         def solve(g, budget=10**12):
-            return solvers._solve(g, "failed_zero_forcing_number", _grow_zfs, False, budget,
+            return solvers._solve(g, "failed_zero_forcing_number", fixpoint_from, False, budget,
                                   forts)
 
         rng = random.Random(59)
@@ -794,12 +813,12 @@ def grow_calls(monkeypatch, solve, g):
     grows: the calls of the `grow` that `_scan_stratum` receives."""
     calls = {}
 
-    def scan(adj, full, k, grow, *args):
+    def scan(adj, done, k, grow, *args):
         def counted(*grow_args):
             calls[k] = calls.get(k, 0) + 1
             return grow(*grow_args)
 
-        return _scan_stratum(adj, full, k, counted, *args)
+        return _scan_stratum(adj, done, k, counted, *args)
 
     monkeypatch.setattr(solvers, "_scan_stratum", scan)
     return solve(g), calls
@@ -851,11 +870,11 @@ class TestMeasuredShortcuts:
 
         monkeypatch.setattr(solvers, "closed_neighborhood_bits", walk)
         g = generate(parse_family("grid:3,3"))
-        adj, full = g.adjacency_masks(), (1 << g.n) - 1
+        adj = g.adjacency_masks()
         for v in range(g.n):
-            assert _grow_dominating(adj, full, 0, 1 << v, 0) == adj[v] | 1 << v
+            assert _grow_dominating(adj, 0, 1 << v, 0) == adj[v] | 1 << v
         assert walks == []
-        assert _grow_dominating(adj, full, 0, 0b101, 0) == adj[0] | adj[2] | 0b111
+        assert _grow_dominating(adj, 0, 0b101, 0) == adj[0] | adj[2] | 0b111
         assert walks == [0b101]
 
 
